@@ -9,8 +9,10 @@ Subcommands
     catalog-validate consistency checks of a pulse catalog file
 
 Every option can also come from a flat JSON config file (``--config``);
-explicit flags win.  The environment variable PULSELAB_SEED provides the
-default seed.  Exit codes: 0 success, 1 usage, 2 configuration, 3 numerical.
+explicit flags win, and a key that is not an option of the chosen subcommand
+is a configuration error.  The environment variable PULSELAB_SEED provides
+the default seed.  Exit codes: 0 success, 1 usage, 2 configuration,
+3 numerical.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--fit-min", dest="fit_min", type=float)
     p.add_argument("--fit-max", dest="fit_max", type=float)
     p.add_argument("--workers", type=int)
-    p.add_argument("--no-polarization", action="store_true")
 
     p = sub.add_parser("prefactor", help="cubic-law prefactor comparison")
     add_common(p)
@@ -128,9 +129,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(file_conf, dict):
             raise ConfigError("config file must hold a flat JSON object")
+        options = set(merged) - {"config", "command"}
         for key, value in file_conf.items():
             dest = key.replace("-", "_")
-            if merged.get(dest) in (None, False):
+            if dest not in options:
+                raise ConfigError(f"unknown key {key!r} for {args.command}")
+            if merged[dest] is None:
                 merged[dest] = value
     return merged
 
@@ -144,15 +148,12 @@ def _model_from(conf: dict) -> AutocorrelationModel:
     kind = _get(conf, "model")
     if kind is None:
         raise ConfigError("--model is required")
-    try:
-        return AutocorrelationModel(
-            kind=kind,
-            g0=float(_get(conf, "g0", 1.0)),
-            gamma=float(_get(conf, "gamma", 0.0)),
-            eta0=float(_get(conf, "eta0", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return AutocorrelationModel(
+        kind=kind,
+        g0=float(_get(conf, "g0", 1.0)),
+        gamma=float(_get(conf, "gamma", 0.0)),
+        eta0=float(_get(conf, "eta0", 0.0)),
+    )
 
 
 def _float_list(text) -> list[float]:
@@ -172,6 +173,12 @@ def _inv_v_grid(conf: dict) -> tuple[float, ...]:
     return tuple(np.geomspace(lo, hi, n))
 
 
+def _known_pulse(catalog, name: str) -> str:
+    if name not in catalog:
+        raise ConfigError(f"unknown pulse {name!r}")
+    return name
+
+
 def _outdir(conf: dict) -> str:
     out = _get(conf, "out", "results")
     os.makedirs(out, exist_ok=True)
@@ -188,10 +195,8 @@ def _load_catalog(conf: dict):
 
 def _cmd_scaling(conf: dict) -> int:
     catalog = _load_catalog(conf)
-    names = [s.strip() for s in str(_get(conf, "pulses", "rect,corpse,scorpse")).split(",")]
-    for name in names:
-        if name not in catalog:
-            raise ConfigError(f"unknown pulse {name!r}")
+    names = [_known_pulse(catalog, s.strip())
+             for s in str(_get(conf, "pulses", "rect,corpse,scorpse")).split(",")]
     window = None
     if _get(conf, "fit_min") is not None and _get(conf, "fit_max") is not None:
         window = (float(conf["fit_min"]), float(conf["fit_max"]))
@@ -204,7 +209,6 @@ def _cmd_scaling(conf: dict) -> int:
         seed=int(_get(conf, "seed", _default_seed())),
         fit_window=window,
         estimator=_get(conf, "estimator", "mean_df2"),
-        track_polarization=not _get(conf, "no_polarization", False),
         workers=int(_get(conf, "workers", 1)),
     )
     result = harness.run_scaling(config, catalog)
@@ -243,7 +247,7 @@ def _cmd_prefactor(conf: dict) -> int:
 
 def _cmd_nogo(conf: dict) -> int:
     catalog = _load_catalog(conf)
-    name = str(_get(conf, "pulse", "scorpse"))
+    name = _known_pulse(catalog, str(_get(conf, "pulse", "scorpse")))
     grid_n = int(_get(conf, "grid", 1024))
     model = None
     if _get(conf, "model") is not None:
@@ -340,7 +344,9 @@ def main(argv=None) -> int:
     try:
         conf = _merge_config(args)
         return _COMMANDS[args.command](conf)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # the package raises ValueError only for invalid arguments; its
+        # numerical failures are PulselabErrors
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PulselabError as exc:

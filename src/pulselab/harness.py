@@ -6,6 +6,11 @@ One covariance eigendecomposition is built per (pulse, 1/v) cell and shared
 by all realizations; realizations are drawn in fixed-size chunks whose RNG
 streams derive from (seed, cell, chunk), so results are bit-reproducible
 for a given configuration regardless of worker count or scheduling.
+
+One cell runner, `_run_cell`, draws, evolves, reduces and accumulates every
+Monte-Carlo cell: the amplitude sweep, the prefactor check and both branches
+of the grid-convergence check call it.  Both fit estimators go through
+`fit_exponent`.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ from .pulses import PiecewiseConstantPulse, PulseCatalog, build_time_grid, load_
 #: points whose relative standard error of mean Delta_F exceeds this are excluded
 REL_STDERR_MAX = 0.05
 
+#: realizations per chunk; chunk c of cell k draws from RNG stream (k, c)
+DEFAULT_CHUNK = 2**12
+
 DEFAULT_FIT_WINDOWS = {
     GAUSSIAN: (1e-3, 1e-1),
     EXPONENTIAL: (1e-3, 3e-2),
@@ -51,9 +59,8 @@ class ScalingExperimentConfig:
     seed: int = 0
     fit_window: Optional[tuple[float, float]] = None
     estimator: str = "mean_df2"          # "mean_df2" | "mean_df"
-    track_polarization: bool = True
     workers: int = 1
-    chunk_size: int = 4096
+    chunk_size: int = DEFAULT_CHUNK
 
     def __post_init__(self):
         iv = tuple(float(v) for v in self.inv_v_grid)
@@ -65,6 +72,8 @@ class ScalingExperimentConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.realizations < 2:
             raise ValueError("need at least 2 realizations")
+        if self.chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
 
     @property
     def window(self) -> tuple[float, float]:
@@ -82,7 +91,11 @@ class CellStats:
     estimate: MonteCarloEstimate                       # of DF^2
     df_direct: tuple[float, float]                     # (mean, stderr) of DF itself
     partials: tuple[MonteCarloEstimate, MonteCarloEstimate, MonteCarloEstimate]
-    poldev: Optional[MonteCarloEstimate] = None        # of |<sy>+1|, y-start
+
+    @property
+    def poldev(self) -> MonteCarloEstimate:
+        """|<sy>+1| for a y-polarized start, which equals the y partial exactly."""
+        return self.partials[1]
 
 
 @dataclass(frozen=True)
@@ -112,14 +125,13 @@ class ScalingResult:
     def csv_text(self) -> str:
         lines = [self.CSV_HEADER]
         for c in self.cells:
-            pol = repr(c.poldev.mean_df2) if c.poldev is not None else ""
             lines.append(",".join([
                 c.pulse, repr(c.inv_v),
                 repr(c.estimate.mean_df2), repr(c.estimate.stderr_df2),
                 repr(c.estimate.mean_df),
                 repr(c.partials[0].mean_df2), repr(c.partials[1].mean_df2),
                 repr(c.partials[2].mean_df2),
-                pol, str(c.estimate.realizations),
+                repr(c.poldev.mean_df2), str(c.estimate.realizations),
             ]))
         return "\n".join(lines) + "\n"
 
@@ -172,23 +184,6 @@ class ScalingResult:
 # -- fitting -----------------------------------------------------------------
 
 
-def _wls_loglog(x: np.ndarray, y: np.ndarray, sigma_log: np.ndarray) -> FitResult:
-    """Weighted least squares of log10(y) against log10(x)."""
-    lx = np.log10(x)
-    ly = np.log10(y)
-    w = 1.0 / sigma_log**2
-    xm = np.sum(w * lx) / np.sum(w)
-    ym = np.sum(w * ly) / np.sum(w)
-    sxx = np.sum(w * (lx - xm) ** 2)
-    slope = float(np.sum(w * (lx - xm) * (ly - ym)) / sxx)
-    intercept = float(ym - slope * xm)
-    resid = ly - (intercept + slope * lx)
-    chi2_red = float(np.sum(w * resid**2) / (x.size - 2))
-    slope_err = math.sqrt(chi2_red / sxx)
-    intercept_err = math.sqrt(chi2_red * (1.0 / np.sum(w) + xm**2 / sxx))
-    return FitResult(slope, slope_err, intercept, intercept_err, int(x.size))
-
-
 def fit_exponent(points: Sequence[tuple[float, float, float]],
                  window: tuple[float, float],
                  rel_stderr_max: float = REL_STDERR_MAX) -> FitResult:
@@ -218,10 +213,33 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
             f"{len(usable)} usable points after exclusion; need >= 3"
         )
     arr = np.array(usable)
-    sigma_log = arr[:, 2] / (2.0 * arr[:, 1] * math.log(10.0))
-    fit = _wls_loglog(arr[:, 0], np.sqrt(arr[:, 1]), sigma_log)
-    return FitResult(fit.slope, fit.slope_err, fit.intercept, fit.intercept_err,
-                     fit.n_used, tuple(excluded))
+    # weighted least squares of log10 DF against log10(1/v)
+    lx = np.log10(arr[:, 0])
+    ly = np.log10(np.sqrt(arr[:, 1]))
+    w = 1.0 / (arr[:, 2] / (2.0 * arr[:, 1] * math.log(10.0))) ** 2
+    xm = np.sum(w * lx) / np.sum(w)
+    ym = np.sum(w * ly) / np.sum(w)
+    sxx = np.sum(w * (lx - xm) ** 2)
+    slope = float(np.sum(w * (lx - xm) * (ly - ym)) / sxx)
+    intercept = float(ym - slope * xm)
+    resid = ly - (intercept + slope * lx)
+    chi2_red = float(np.sum(w * resid**2) / (len(usable) - 2))
+    return FitResult(slope, math.sqrt(chi2_red / sxx), intercept,
+                     math.sqrt(chi2_red * (1.0 / np.sum(w) + xm**2 / sxx)),
+                     len(usable), tuple(excluded))
+
+
+def _fit_row(cell: CellStats, estimator: str) -> tuple[float, float, float]:
+    """(inv_v, mean DF^2, stderr) for `fit_exponent`.
+
+    The mean_df estimator feeds the squared direct DF mean with the
+    delta-method stderr 2 DF sigma_DF, which gives fit_exponent's log-space
+    uncertainty sigma_DF / (DF ln 10) and its exclusion rule sigma_DF / DF.
+    """
+    if estimator == "mean_df":
+        df, sd = cell.df_direct
+        return cell.inv_v, df * df, 2.0 * df * sd
+    return cell.inv_v, cell.estimate.mean_df2, cell.estimate.stderr_df2
 
 
 def _df_and_sigma(cell: CellStats, estimator: str) -> tuple[float, float]:
@@ -235,20 +253,29 @@ def _df_and_sigma(cell: CellStats, estimator: str) -> tuple[float, float]:
 
 # -- Monte-Carlo cells --------------------------------------------------------
 
-
-def _chunk_sizes(total: int, chunk: int) -> list[int]:
-    full, rest = divmod(total, chunk)
-    return [chunk] * full + ([rest] if rest else [])
+_CELL_KEYS = ("df2", "df", "partial_x", "partial_y", "partial_z")
 
 
 def _run_cell(pulse: PiecewiseConstantPulse, grid: TimeGrid, sampler: NoiseSampler,
-              cell_index: int, realizations: int, chunk_size: int,
-              workers: int, track_polarization: bool) -> dict[str, np.ndarray]:
-    sizes = _chunk_sizes(realizations, chunk_size)
+              cell_index: int, realizations: int, chunk_size: int = DEFAULT_CHUNK,
+              workers: int = 1, rows: Optional[np.ndarray] = None
+              ) -> dict[str, MonteCarloEstimate]:
+    """Draw, evolve, reduce and accumulate the realizations of one cell.
+
+    Chunk c draws its block from stream (cell_index, c) of `sampler`.  With
+    `rows` given, only those rows of the sampler's grid reach `grid`: a
+    coarser grid whose midpoints are a subset of the sampler's then sees
+    exact subsamples of the finer draws.
+    """
+    full, rest = divmod(realizations, chunk_size)
+    sizes = [chunk_size] * full + ([rest] if rest else [])
+
+    def draw(m: int, c: int) -> np.ndarray:
+        eta = sampler.sample_block(m, stream=(cell_index, c))
+        return eta if rows is None else eta[rows]
 
     def one_chunk(c: int) -> dict[str, np.ndarray]:
-        eta = sampler.sample_block(sizes[c], stream=(cell_index, c))
-        w, x, y, z = evolve_ensemble(pulse, grid, eta)
+        w, x, y, z = evolve_ensemble(pulse, grid, draw(sizes[c], c))
         out = ensemble_frobenius(w, x, y, z)
         out["df"] = np.sqrt(out["df2"])
         return out
@@ -258,11 +285,8 @@ def _run_cell(pulse: PiecewiseConstantPulse, grid: TimeGrid, sampler: NoiseSampl
             parts = list(pool.map(one_chunk, range(len(sizes))))
     else:
         parts = [one_chunk(c) for c in range(len(sizes))]
-
-    keys = ["df2", "df", "partial_x", "partial_y", "partial_z"]
-    if track_polarization:
-        keys.append("poldev_y")
-    return {k: np.concatenate([p[k] for p in parts]) for k in keys}
+    return {k: accumulate_values(np.concatenate([p[k] for p in parts]))
+            for k in _CELL_KEYS}
 
 
 def run_scaling(config: ScalingExperimentConfig,
@@ -283,41 +307,18 @@ def run_scaling(config: ScalingExperimentConfig,
             scaled = base.for_inverse_amplitude(inv_v)
             grid = build_time_grid(scaled, config.steps_per_pulse)
             sampler = build_sampler(config.model, grid, config.seed)
-            arrays = _run_cell(scaled, grid, sampler, cell_index,
-                               config.realizations, config.chunk_size,
-                               config.workers, config.track_polarization)
-            df_est = accumulate_values(arrays["df"])
-            cell = CellStats(
+            est = _run_cell(scaled, grid, sampler, cell_index, config.realizations,
+                            config.chunk_size, config.workers)
+            result.cells.append(CellStats(
                 pulse=name,
                 inv_v=inv_v,
-                estimate=accumulate_values(arrays["df2"]),
-                df_direct=(df_est.mean_df2, df_est.stderr_df2),
-                partials=(accumulate_values(arrays["partial_x"]),
-                          accumulate_values(arrays["partial_y"]),
-                          accumulate_values(arrays["partial_z"])),
-                poldev=(accumulate_values(arrays["poldev_y"])
-                        if config.track_polarization else None),
-            )
-            result.cells.append(cell)
+                estimate=est["df2"],
+                df_direct=(est["df"].mean_df2, est["df"].stderr_df2),
+                partials=(est["partial_x"], est["partial_y"], est["partial_z"]),
+            ))
             cell_index += 1
-
-        cells = result.cells_for(name)
-        if config.estimator == "mean_df":
-            # direct DF averaging: feed DF and its stderr straight to the WLS
-            lo, hi = config.window
-            usable = [(c.inv_v, c.df_direct[0], c.df_direct[1])
-                      for c in cells
-                      if lo <= c.inv_v <= hi
-                      and c.df_direct[1] / c.df_direct[0] <= REL_STDERR_MAX]
-            if len(usable) < 3:
-                raise InsufficientPoints("too few usable points for mean_df fit")
-            arr = np.array(usable)
-            sigma_log = arr[:, 2] / (arr[:, 1] * math.log(10.0))
-            result.fits[name] = _wls_loglog(arr[:, 0], arr[:, 1], sigma_log)
-        else:
-            pts = [(c.inv_v, c.estimate.mean_df2, c.estimate.stderr_df2)
-                   for c in cells]
-            result.fits[name] = fit_exponent(pts, config.window)
+        pts = [_fit_row(c, config.estimator) for c in result.cells_for(name)]
+        result.fits[name] = fit_exponent(pts, config.window)
     return result
 
 
@@ -358,8 +359,7 @@ def run_prefactor_check(pulse_name: str, model: AutocorrelationModel,
         scaled = base.for_inverse_amplitude(inv_v)
         grid = build_time_grid(scaled, steps_per_pulse)
         sampler = build_sampler(model, grid, seed)
-        arrays = _run_cell(scaled, grid, sampler, k, realizations, 4096, 1, False)
-        est = accumulate_values(arrays["df2"])
+        est = _run_cell(scaled, grid, sampler, k, realizations)["df2"]
         predicted = coeff * model.g0**2 * model.gamma * inv_v**3
         rows.append(PrefactorRow(inv_v, est.mean_df2, est.stderr_df2, predicted))
     return rows
@@ -400,32 +400,20 @@ def run_convergence_check(pulse_name: str, model: AutocorrelationModel,
         grids.append(grids[-1].refined(int(f)))
     shared = all(int(f) % 2 == 1 for f in refine_factors)
 
-    means = []
     if shared:
-        finest = grids[-1]
-        sampler = build_sampler(model, finest, seed)
-        sizes = _chunk_sizes(realizations, 4096)
-        blocks = [sampler.sample_block(m, stream=(0, c)) for c, m in enumerate(sizes)]
-        # strides[i] = finest steps per grid-i step = product of factors i..end
-        strides = []
-        for i in range(len(grids)):
-            stride = 1
-            for f in refine_factors[i:]:
-                stride *= int(f)
-            strides.append(stride)
-        for grid, stride in zip(grids, strides):
-            idx = np.arange(grid.n_steps) * stride + (stride - 1) // 2
-            vals = []
-            for block in blocks:
-                eta = block[idx, :]
-                w, x, y, z = evolve_ensemble(scaled, grid, eta)
-                vals.append(ensemble_frobenius(w, x, y, z)["df2"])
-            means.append(accumulate_values(np.concatenate(vals)))
+        # one sampler on the finest grid; grid i keeps the middle finest step
+        # of each of its steps, stride = product of the factors after i
+        sampler = build_sampler(model, grids[-1], seed)
+        means = []
+        for i, grid in enumerate(grids):
+            stride = math.prod(int(f) for f in refine_factors[i:])
+            keep = np.arange(grid.n_steps) * stride + (stride - 1) // 2
+            means.append(_run_cell(scaled, grid, sampler, 0, realizations,
+                                   rows=keep)["df2"])
     else:
-        for gi, grid in enumerate(grids):
-            sampler = build_sampler(model, grid, seed)
-            arrays = _run_cell(scaled, grid, sampler, gi, realizations, 4096, 1, False)
-            means.append(accumulate_values(arrays["df2"]))
+        means = [_run_cell(scaled, grid, build_sampler(model, grid, seed), gi,
+                           realizations)["df2"]
+                 for gi, grid in enumerate(grids)]
 
     finest_mean = means[-1].mean_df2
     rows = tuple(

@@ -98,7 +98,6 @@ def ensemble_frobenius(w, x, y, z) -> dict[str, np.ndarray]:
         "partial_x": 2.0 * (y * y + z * z),
         "partial_y": 2.0 * (w * w + y * y),
         "partial_z": 2.0 * (w * w + z * z),
-        "poldev_y": 2.0 * (w * w + y * y),
     }
 
 

@@ -140,10 +140,6 @@ class PiecewiseConstantPulse:
         return self.edge_angles[idx] + 2.0 * amps[idx] * (x - starts[idx])
 
 
-def angle_at(pulse: PiecewiseConstantPulse, t: float) -> float:
-    return pulse.angle_at(t)
-
-
 def first_order_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:
     """Closed-form S = int_0^tau_p sin psi dt and C = int_0^tau_p cos psi dt.
 

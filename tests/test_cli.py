@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from pulselab.cli import main
 
 
@@ -67,6 +69,35 @@ class TestScaling:
                     "--out", str(out3)]) == 0
         assert (out1 / "scaling.csv").read_bytes() != (out3 / "scaling.csv").read_bytes()
 
+    def test_zero_seed_flag_overrides_config(self, tmp_path):
+        conf = {"model": "exponential", "gamma": 0.01, "pulses": "rect",
+                "inv_v": "1e-3,3e-3,1e-2", "realizations": 400, "steps": 48,
+                "seed": 9}
+        cpath = tmp_path / "run.json"
+        cpath.write_text(json.dumps(conf))
+        out1 = tmp_path / "file"
+        assert run(["--config", str(cpath), "scaling", "--seed", "0",
+                    "--out", str(out1)]) == 0
+        flags = ["scaling", "--model", "exponential", "--gamma", "0.01",
+                 "--pulses", "rect", "--inv-v", "1e-3,3e-3,1e-2",
+                 "--realizations", "400", "--steps", "48", "--seed", "0"]
+        out2 = tmp_path / "flags"
+        assert run(flags + ["--out", str(out2)]) == 0
+        assert (out1 / "scaling.csv").read_bytes() == (out2 / "scaling.csv").read_bytes()
+
+    @pytest.mark.parametrize("key, value", [
+        ("realisations", 5),        # misspelt option
+        ("no_polarization", True),  # removed option
+        ("grid", 256),              # an option of another subcommand
+    ])
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys, key, value):
+        conf = {"model": "exponential", "gamma": 0.01, "pulses": "rect",
+                "inv_v": "1e-3,3e-3,1e-2", "realizations": 400, "steps": 48, key: value}
+        cpath = tmp_path / "run.json"
+        cpath.write_text(json.dumps(conf))
+        assert run(["--config", str(cpath), "scaling", "--out", str(tmp_path)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         args = ["scaling", "--model", "exponential", "--gamma", "0.01",
                 "--pulses", "rect", "--inv-v", "1e-3,3e-3,1e-2",
@@ -119,6 +150,21 @@ class TestOtherSubcommands:
         assert code == 0
         payload = json.loads((tmp_path / "noise_validate.json").read_text())
         assert payload["max_cov_sigma"] < 5.0
+
+    @pytest.mark.parametrize("args", [
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+         "--realizations", "1"],
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+         "--inv-v", "1e-3,1e-3,1e-2"],
+        ["prefactor", "--model", "gaussian"],
+        ["prefactor", "--model", "exponential", "--pulse", "rect"],
+        ["nogo", "--pulse", "nope"],
+    ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
+            "prefactor-rect", "nogo-unknown-pulse"])
+    def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
+        assert run(args + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ")
 
     def test_usage_error_exit_code(self):
         assert run(["frobnicate"]) == 1

@@ -95,6 +95,21 @@ class TestRunScaling:
         s2, e2 = r2.fits["CORPSE"].slope, r2.fits["CORPSE"].slope_err
         assert abs(s1 - s2) < 3 * math.hypot(e1, e2) + 1e-3
 
+    def test_mean_df_fit_records_excluded_points(self):
+        res = run_scaling(small_config(estimator="mean_df",
+                                       inv_v_grid=(1e-3, 3e-3, 1e-2, 3e-2, 0.1)))
+        for fit in res.fits.values():
+            assert fit.n_used == 4
+            assert fit.excluded == ((0.1, "outside fit window"),)
+
+    def test_polarization_column_is_y_partial(self):
+        res = run_scaling(small_config())
+        header = res.CSV_HEADER.split(",")
+        y, pol = header.index("partial_y"), header.index("polarization_dev")
+        for line in res.csv_text().strip().splitlines()[1:]:
+            fields = line.split(",")
+            assert fields[pol] == fields[y]
+
     def test_csv_rows_parse_finite(self):
         res = run_scaling(small_config())
         lines = res.csv_text().strip().splitlines()
@@ -125,6 +140,8 @@ class TestRunScaling:
             small_config(inv_v_grid=(1e-2, 1e-3))
         with pytest.raises(ValueError):
             small_config(estimator="median")
+        with pytest.raises(ValueError):
+            small_config(chunk_size=0)
 
 
 class TestPrefactorCheck:
@@ -135,6 +152,18 @@ class TestPrefactorCheck:
             assert abs(row.measured_df2 - row.predicted_df2) < 4 * row.stderr_df2
             pred = PREFACTOR_COEFFS["CORPSE"] * EXP.gamma * row.inv_v**3
             assert row.predicted_df2 == pred
+
+    def test_matches_scaling_cells(self):
+        # one cell runner and one stream layout: cell k of a one-pulse sweep
+        # is the prefactor check's k-th 1/v, bit for bit
+        inv_vs = (3e-3, 1e-2, 3e-2)
+        rows = run_prefactor_check("CORPSE", EXP, inv_vs, realizations=5000,
+                                   steps_per_pulse=64, seed=11)
+        res = run_scaling(ScalingExperimentConfig(
+            pulses=("CORPSE",), model=EXP, inv_v_grid=inv_vs, realizations=5000,
+            steps_per_pulse=64, seed=11, chunk_size=4096))
+        assert [(r.inv_v, r.measured_df2, r.stderr_df2) for r in rows] == [
+            (c.inv_v, c.estimate.mean_df2, c.estimate.stderr_df2) for c in res.cells]
 
     def test_rejects_unsupported_inputs(self):
         with pytest.raises(ValueError):

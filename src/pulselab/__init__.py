@@ -9,8 +9,7 @@ autocorrelation and the impossibility of designing it away.
 
 from .errors import (CatalogInvalid, EigenvalueTooNegative, GridMismatch,
                      InsufficientPoints, MissingTrajectory, NoFeasiblePoint,
-                     NotFirstOrder, NotUnitary, OutOfRangeError, PulselabError,
-                     QuadratureNotConverged)
+                     NotFirstOrder, NotUnitary, OutOfRangeError, PulselabError)
 from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN,
                     NoiseRealization, NoiseSampler, TimeGrid, build_sampler,
                     evaluate_autocorrelation)
@@ -22,8 +21,7 @@ from .propagator import (Trajectory, UnitaryResult, evolve, evolve_ensemble,
 from .metrics import (FrobeniusSample, MonteCarloEstimate, accumulate,
                       accumulate_values, ensemble_frobenius,
                       frobenius_from_unitary, polarization_deviation)
-from .magnus import (AnomalousIntegrals, MagnusFirstOrder, NoGoReport,
-                     anomalous_integrals, evaluate_i1, evaluate_i32,
+from .magnus import (MagnusFirstOrder, NoGoReport, evaluate_i1, evaluate_i32,
                      evaluate_mu2x, first_moment_integrals, first_order_terms,
                      minimize_i32, ordered_sine_integral, verify_nogo)
 from .harness import (ConvergenceReport, FitResult, PrefactorRow,

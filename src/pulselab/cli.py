@@ -197,12 +197,14 @@ def _cmd_scaling(conf: dict) -> int:
     catalog = _load_catalog(conf)
     names = [_known_pulse(catalog, s.strip())
              for s in str(_get(conf, "pulses", "rect,corpse,scorpse")).split(",")]
+    model = _model_from(conf)
     window = None
-    if _get(conf, "fit_min") is not None and _get(conf, "fit_max") is not None:
-        window = (float(conf["fit_min"]), float(conf["fit_max"]))
+    if _get(conf, "fit_min") is not None or _get(conf, "fit_max") is not None:
+        lo, hi = harness.DEFAULT_FIT_WINDOWS[model.kind]
+        window = (float(_get(conf, "fit_min", lo)), float(_get(conf, "fit_max", hi)))
     config = harness.ScalingExperimentConfig(
         pulses=tuple(names),
-        model=_model_from(conf),
+        model=model,
         inv_v_grid=_inv_v_grid(conf),
         realizations=int(_get(conf, "realizations", 20000)),
         steps_per_pulse=int(_get(conf, "steps", 512)),

@@ -33,10 +33,6 @@ class MissingTrajectory(PulselabError):
     """State trajectory was not recorded for this evolution."""
 
 
-class QuadratureNotConverged(PulselabError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class NotFirstOrder(PulselabError):
     """Pulse does not satisfy the first-order integral conditions."""
 

@@ -7,31 +7,35 @@ Leading contributions to the noise-averaged squared Frobenius norm:
 
 where a is the |t|-cusp coefficient of the autocorrelation (zero for analytic
 models).  I_1 vanishes for first-order pulses; I_3/2 cannot be nulled as well:
-on the subspace where C|cos psi> = C|sin psi> = 0 the kernel identity
-A = (tau_p C - B^dag B)/2 (A: |t1-t2|, B: sgn(t1-t2), C: constant kernel)
-turns I_3/2 into the manifestly positive (a/2)(||B cos psi||^2 + ||B sin psi||^2),
-and B annihilates no nonzero function.  verify_nogo checks all of this on a
-discretized grid; minimize_i32 searches for the attainable minimum instead.
+the kernel identity A = (tau_p C - B^dag B)/2 (A: |t1-t2|, B: sgn(t1-t2), C:
+constant kernel) holds for any pulse and gives, in fraction units with
+F(x) = int_0^x e^{i psi},
+
+    K = I_3/2 / (a tau_p^3) = 1/2 int_0^1 |2F(x) - F(1)|^2 dx - 1/2 |F(1)|^2,
+
+which is manifestly positive once S = C = 0 (F(1) = 0), since B annihilates
+no nonzero function.  K, the first moments and the ordered sine integral are
+short sums over the closed-form segment primitives of ``pulses``.
+verify_nogo checks the operator identity on a discretized grid; minimize_i32
+searches for the attainable minimum of the exact K.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # noqa: F401  unused; the benchmark tracer wraps magnus.quad
 from scipy.optimize import least_squares
 
-from .errors import GridMismatch, NoFeasiblePoint, NotFirstOrder, QuadratureNotConverged
+from .errors import GridMismatch, NoFeasiblePoint, NotFirstOrder
 from .noise import AutocorrelationModel, NoiseRealization
-from .pulses import (PiecewiseConstantPulse, PulseSegment,
+from .pulses import (PiecewiseConstantPulse, PulseSegment, _segment_primitives,
                      first_order_integrals, grid_is_aligned)
 
-I32_REL_TOL = 1e-10
 FIRST_ORDER_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
 
@@ -44,13 +48,6 @@ class MagnusFirstOrder:
 
     mu_y: float   # int eta(t) sin psi(t) dt
     mu_z: float   # int eta(t) cos psi(t) dt
-
-
-@dataclass(frozen=True)
-class AnomalousIntegrals:
-    i1: float     # energy^2 time^2
-    i32: float    # energy^2 time^3
-    a: float      # cusp coefficient, energy^3
 
 
 @dataclass(frozen=True)
@@ -104,24 +101,10 @@ def first_order_terms(pulse: PiecewiseConstantPulse,
 def first_moment_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:
     """(int t sin psi dt, int t cos psi dt); vanish for the time-dependent
     second-order condition set, but not for every advertised-order-2 shape."""
-    psis = pulse.edge_angles
-    ts = tc = 0.0
-    for k, seg in enumerate(pulse.segments):
-        x0, x1 = seg.start, seg.end
-        p0, p1 = psis[k], psis[k + 1]
-        if seg.amplitude_taup == 0.0:
-            ts += 0.5 * (x1 * x1 - x0 * x0) * math.sin(p0)
-            tc += 0.5 * (x1 * x1 - x0 * x0) * math.cos(p0)
-            continue
-        b = 2.0 * seg.amplitude_taup
-        c0 = x0 - p0 / b
-        ts += (c0 * (math.cos(p0) - math.cos(p1))
-               + (math.sin(p1) - p1 * math.cos(p1)
-                  - math.sin(p0) + p0 * math.cos(p0)) / b) / b
-        tc += (c0 * (math.sin(p1) - math.sin(p0))
-               + (math.cos(p1) + p1 * math.sin(p1)
-                  - math.cos(p0) - p0 * math.sin(p0)) / b) / b
-    return ts * pulse.tau_p**2, tc * pulse.tau_p**2
+    total = 0j  # int x e^{i psi} = sum over segments of x1 dF - G
+    for seg, (d_f, g, _, _) in zip(pulse.segments, _segment_primitives(pulse)):
+        total += seg.end * d_f - g
+    return total.imag * pulse.tau_p**2, total.real * pulse.tau_p**2
 
 
 def ordered_sine_integral(pulse: PiecewiseConstantPulse) -> float:
@@ -130,22 +113,11 @@ def ordered_sine_integral(pulse: PiecewiseConstantPulse) -> float:
     This is the static-noise coefficient of the second Magnus term; it
     vanishes for second-order shapes but not for first-order ones.
     """
-    psis = pulse.edge_angles
-    cum = 0.0 + 0.0j    # F(x) = int_0^x e^{i psi}
-    total = 0.0 + 0.0j  # int e^{i psi(x1)} conj(F(x1)) dx1
-    for k, seg in enumerate(pulse.segments):
-        dx = seg.end - seg.start
-        p0, p1 = psis[k], psis[k + 1]
-        e0 = cmath.exp(1j * p0)
-        e1 = cmath.exp(1j * p1)
-        if seg.amplitude_taup == 0.0:
-            seg_int = dx * e0
-            total += cum.conjugate() * seg_int + dx * dx / 2.0
-        else:
-            b = 2.0 * seg.amplitude_taup
-            seg_int = (e1 - e0) / (1j * b)
-            total += cum.conjugate() * seg_int + (dx - e0.conjugate() * seg_int) / (-1j * b)
-        cum += seg_int
+    f0 = 0j     # F at the segment start
+    total = 0j  # int e^{i psi(x1)} conj(F(x1)) dx1
+    for d_f, _, _, w in _segment_primitives(pulse):
+        total += f0.conjugate() * d_f + w
+        f0 += d_f
     return total.imag * pulse.tau_p**2
 
 
@@ -159,71 +131,37 @@ def evaluate_i1(pulse: PiecewiseConstantPulse, g0: float = 1.0) -> float:
 
 
 @lru_cache(maxsize=256)
-def _i32_shape_kernel(segments: tuple[PulseSegment, ...],
-                      rel_tol: float) -> float:
+def _i32_shape_kernel(segments: tuple[PulseSegment, ...]) -> float:
     """K = -int int |x1-x2| cos[psi(x1)-psi(x2)] over the unit square.
 
-    Nested adaptive quadrature; the diagonal kink and the switching instants
-    bound the inner subintervals, so every piece is smooth.  I_3/2 of a
-    concrete pulse is a * K * tau_p^3.
+    Closed form 1/2 int_0^1 |2F - F(1)|^2 - 1/2 |F(1)|^2, summed per segment:
+    with c = 2 F0 - F(1), a segment adds |c|^2 dx + 4 Re(conj(c) G) + 4 Q to
+    the integral.  I_3/2 of a concrete pulse is a * K * tau_p^3.
     """
-    shape = PiecewiseConstantPulse("shape", 1.0, segments)
-    bounds = [0.0] + [s.end for s in segments]
-    psi = shape.angle_at
-
-    def inner(x1: float) -> float:
-        p1 = psi(x1)
-        acc = 0.0
-        for j in range(len(segments)):
-            lo = bounds[j]
-            hi = min(bounds[j + 1], x1)
-            if hi <= lo:
-                break
-            val, err = quad(
-                lambda x2: (x1 - x2) * math.cos(p1 - psi(x2)),
-                lo, hi, epsabs=1e-13, epsrel=1e-12, limit=100,
-            )
-            if err > 1e-9:
-                # bail out instead of letting the outer rule grind on garbage
-                raise QuadratureNotConverged(
-                    f"inner integral error {err:.2e} at x1={x1:.4f}"
-                )
-            acc += val
-        return acc
-
-    total = 0.0
-    err_budget = 0.0
-    for i in range(len(segments)):
-        val, err = quad(inner, bounds[i], bounds[i + 1],
-                        epsabs=1e-12, epsrel=1e-11, limit=200)
-        total += val
-        err_budget += err
-    kernel = -2.0 * total  # symmetric integrand: full square = 2x the triangle
-    if err_budget > max(rel_tol * abs(kernel), 1e-13):
-        raise QuadratureNotConverged(
-            f"I_3/2 kernel error estimate {err_budget:.2e} exceeds tolerance "
-            f"for {abs(kernel):.3e}"
-        )
-    return kernel
+    table = _segment_primitives(PiecewiseConstantPulse("shape", 1.0, segments))
+    f1 = 0j
+    for d_f, _, _, _ in table:
+        f1 += d_f
+    f0 = 0j
+    acc = 0.0
+    for seg, (d_f, g, q, _) in zip(segments, table):
+        c = 2.0 * f0 - f1
+        acc += ((c.real**2 + c.imag**2) * (seg.end - seg.start)
+                + 4.0 * ((c.conjugate() * g).real + q))
+        f0 += d_f
+    return 0.5 * acc - 0.5 * (f1.real**2 + f1.imag**2)
 
 
-def evaluate_i32(pulse: PiecewiseConstantPulse, model: AutocorrelationModel,
-                 rel_tol: float = I32_REL_TOL) -> float:
-    """I_3/2 = -a int int |t1-t2| cos[psi(t1)-psi(t2)]; zero when a = 0."""
+def evaluate_i32(pulse: PiecewiseConstantPulse, model: AutocorrelationModel) -> float:
+    """I_3/2 = -a int int |t1-t2| cos[psi(t1)-psi(t2)] = a K tau_p^3, exact.
+
+    K is the closed-form shape kernel of the module docstring, cached per
+    segment tuple; zero when a = 0.
+    """
     a = model.cusp_coefficient
     if a == 0.0:
         return 0.0
-    kernel = _i32_shape_kernel(pulse.segments, rel_tol)
-    return a * kernel * pulse.tau_p**3
-
-
-def anomalous_integrals(pulse: PiecewiseConstantPulse,
-                        model: AutocorrelationModel) -> AnomalousIntegrals:
-    return AnomalousIntegrals(
-        i1=evaluate_i1(pulse, model.g0),
-        i32=evaluate_i32(pulse, model),
-        a=model.cusp_coefficient,
-    )
+    return a * _i32_shape_kernel(pulse.segments) * pulse.tau_p**3
 
 
 def evaluate_mu2x(pulse: PiecewiseConstantPulse, noise: NoiseRealization) -> float:
@@ -325,16 +263,16 @@ def _project_boundaries(raw: np.ndarray, min_gap: float) -> np.ndarray:
 
 def minimize_i32(n_segments: int, model: AutocorrelationModel,
                  budget: int = 15000, restarts: int = 10, seed: int = 0,
-                 v_max_taup: float = DEFAULT_V_MAX_TAUP,
-                 grid_n: int = 192, min_gap: float = 5e-3,
+                 v_max_taup: float = DEFAULT_V_MAX_TAUP, min_gap: float = 5e-3,
                  initial: Optional[PiecewiseConstantPulse] = None):
     """Minimize I_3/2 over n-segment pi-pulses with S = C = 0.
 
     Restarted compass pattern search on a penalized objective (penalty weight
     times 10 per restart), followed by a least-squares polish of the
-    amplitudes onto the constraint manifold; candidates are scored with the
-    adaptive-quadrature I_3/2.  Amplitudes are bounded by ``v_max_taup`` so
-    that shrinking the support cannot shrink I_3/2 without limit.
+    amplitudes onto the constraint manifold.  The search objective and the
+    final scoring both use the closed-form I_3/2 kernel.  Amplitudes are
+    bounded by ``v_max_taup`` so that shrinking the support cannot shrink
+    I_3/2 without limit.
 
     Returns (best_pulse, i32_min) with the pulse at tau_p = 1.
 
@@ -346,22 +284,12 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
     if model.cusp_coefficient == 0.0:
         raise ValueError("I_3/2 vanishes identically for analytic models")
 
-    dx = 1.0 / grid_n
-    mids = (np.arange(grid_n) + 0.5) * dx
-    a_kernel = np.abs(mids[:, None] - mids[None, :])
-
-    def disc_kernel(bounds_interior, amps) -> float:
-        pulse = _pulse_from_params(bounds_interior, amps)
-        psi = pulse.angles_on(mids)
-        cosv = np.cos(psi)
-        sinv = np.sin(psi)
-        return -(cosv @ (a_kernel @ cosv) + sinv @ (a_kernel @ sinv)) * dx * dx
-
     def objective(theta, weight) -> float:
         b = _project_boundaries(theta[: n_segments - 1], min_gap)
         amps = np.clip(theta[n_segments - 1:], -v_max_taup, v_max_taup)
         cons = _constraints_frac(b, amps)
-        return disc_kernel(b, amps) + weight * float(cons @ cons)
+        kernel = _i32_shape_kernel(_pulse_from_params(b, amps).segments)
+        return kernel + weight * float(cons @ cons)
 
     def polish(theta):
         """Pull the amplitudes onto (angle, S, C) = 0 with minimal motion."""

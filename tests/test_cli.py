@@ -98,6 +98,17 @@ class TestScaling:
         assert run(["--config", str(cpath), "scaling", "--out", str(tmp_path)]) == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, window", [("--fit-min", [2e-3, 3e-2]),
+                                              ("--fit-max", [1e-3, 2e-2])])
+    def test_one_sided_fit_window_keeps_the_default_other_end(self, tmp_path, flag, window):
+        value = "2e-3" if flag == "--fit-min" else "2e-2"
+        assert run(["scaling", "--model", "exponential", "--gamma", "0.01",
+                    "--pulses", "rect", "--inv-v", "1e-3,3e-3,1e-2,3e-2",
+                    "--realizations", "400", "--steps", "48", "--seed", "3",
+                    flag, value, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["fit_window"] == window
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         args = ["scaling", "--model", "exponential", "--gamma", "0.01",
                 "--pulses", "rect", "--inv-v", "1e-3,3e-3,1e-2",
@@ -159,8 +170,11 @@ class TestOtherSubcommands:
         ["prefactor", "--model", "gaussian"],
         ["prefactor", "--model", "exponential", "--pulse", "rect"],
         ["nogo", "--pulse", "nope"],
+        # the exponential default upper end 3e-2 lies below this lower end
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+         "--fit-min", "5e-2"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
-            "prefactor-rect", "nogo-unknown-pulse"])
+            "prefactor-rect", "nogo-unknown-pulse", "empty-fit-window"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()

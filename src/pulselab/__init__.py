@@ -17,7 +17,7 @@ from .pulses import (PiecewiseConstantPulse, PulseCatalog, PulseSegment,
                      build_time_grid, first_order_integrals, load_catalog,
                      save_catalog, truncate_pulse, validate_catalog)
 from .propagator import (Trajectory, UnitaryResult, evolve, evolve_ensemble,
-                         ideal_pulse, step_propagator)
+                         ideal_pulse)
 from .metrics import (FrobeniusSample, MonteCarloEstimate, accumulate,
                       accumulate_values, ensemble_frobenius,
                       frobenius_from_unitary, polarization_deviation)

@@ -300,9 +300,12 @@ def _cmd_noise_validate(conf: dict) -> int:
     span = float(_get(conf, "span", 1.0))
     m = int(_get(conf, "realizations", 200000))
     seed = int(_get(conf, "seed", _default_seed()))
+    if m < 2:
+        raise ConfigError("need at least 2 realizations")
     grid = TimeGrid.uniform(span, n)
     sampler = build_sampler(model, grid, seed)
-    block = sampler.sample_block(m, stream=(0,))
+    # deviations from the mean eta0, whose covariance is the target
+    block = sampler.sample_block(m, stream=(0,)) - model.eta0
     sample_cov = (block @ block.T) / m
     mean = block.mean(axis=1)
     target = sampler.covariance

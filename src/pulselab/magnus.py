@@ -188,6 +188,8 @@ def verify_nogo(pulse: PiecewiseConstantPulse, grid_n: int,
     operator composition carries one dt factor per intermediate sum.  The
     identity residual is dt/2 on exact arithmetic, i.e. O(dt).
     """
+    if grid_n < 1:
+        raise ValueError("grid_n must be >= 1")
     s_val, c_val = first_order_integrals(pulse)
     tol = FIRST_ORDER_TOL * pulse.tau_p
     if abs(s_val) > tol or abs(c_val) > tol:
@@ -283,6 +285,8 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
         raise ValueError("need at least 3 segments")
     if model.cusp_coefficient == 0.0:
         raise ValueError("I_3/2 vanishes identically for analytic models")
+    if restarts < 1 and initial is None:
+        raise ValueError("need at least 1 restart or an initial pulse")
 
     def objective(theta, weight) -> float:
         b = _project_boundaries(theta[: n_segments - 1], min_gap)

@@ -155,8 +155,7 @@ class NoiseSampler:
     """Draws correlated Gaussian noise realizations on a fixed grid.
 
     The eigendecomposition is computed once at construction and shared by
-    every draw; the sampler itself is immutable apart from its default RNG
-    stream.  Independent reproducible streams for parallel workers come from
+    every draw, and the sampler is immutable.  Every draw goes through
     ``sample_block(..., stream=(k, ...))``, which derives a counter-based
     generator from (seed, stream) and is therefore insensitive to scheduling.
     """
@@ -184,16 +183,10 @@ class NoiseSampler:
         eigvals = np.clip(eigvals, 0.0, None)
         self.covariance = cov
         self.transform = eigvecs * np.sqrt(eigvals)[None, :]
-        self._rng = self._generator()
 
     def _generator(self, *stream: int) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(stream))
         return np.random.Generator(np.random.Philox(seq))
-
-    def sample(self) -> NoiseRealization:
-        """Draw the next realization from the sampler's own stream."""
-        z = self._rng.standard_normal(self.grid.n_steps)
-        return NoiseRealization(self.grid, self.transform @ z + self.model.eta0)
 
     def sample_block(self, count: int, stream: tuple[int, ...] = ()) -> np.ndarray:
         """Draw `count` realizations at once; shape (n_steps, count).

@@ -10,15 +10,18 @@ with h = sqrt(v^2 + eta^2); the full propagator is the time-ordered product
 U_tot = U_N ... U_2 U_1 (latest step leftmost).  No further integration error
 enters beyond the step-constant noise model itself.
 
-For Monte-Carlo ensembles the same product is evaluated in SU(2) quaternion
-components (w, x, y, z) with U = w 1 - i (x sx + y sy + z sz), which keeps
-tiny deviations from the ideal pulse representable without cancellation.
+One kernel, ``_step_product``, evaluates that product for m realizations at
+once in SU(2) quaternion components (w, x, y, z) with
+U = w 1 - i (x sx + y sy + z sz), which keeps tiny deviations from the ideal
+pulse representable without cancellation.  ``evolve_ensemble`` returns its
+final quaternions; ``evolve`` is its m = 1 case and can also record the Bloch
+vector of a given initial state after every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -58,82 +61,18 @@ def ideal_pulse() -> np.ndarray:
     return -1j * SIGMA_X.copy()
 
 
-def step_propagator(eta: float, v: float, dt: float) -> np.ndarray:
-    """Closed-form exp(-i dt (eta sz + v sx)); identity in the h -> 0 limit."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    h = float(np.hypot(eta, v))
-    phase = h * dt
-    if phase < SMALL_PHASE:
-        # 3-term series for cos and sin(x)/x; exact enough below 1e-8
-        c = 1.0 - phase * phase / 2.0 + phase**4 / 24.0
-        s_over_h = dt * (1.0 - phase * phase / 6.0 + phase**4 / 120.0)
-    else:
-        c = np.cos(phase)
-        s_over_h = np.sin(phase) / h
-    return c * IDENTITY - 1j * s_over_h * (v * SIGMA_X + eta * SIGMA_Z)
+def _step_product(pulse: PiecewiseConstantPulse, grid: TimeGrid,
+                  eta_block: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Quaternions (w, x, y, z) of the partial products, at t=0 and after each step.
 
-
-def _check_alignment(pulse: PiecewiseConstantPulse, grid: TimeGrid) -> None:
+    ``eta_block`` has shape (n_steps, m): row i holds the step-i noise values
+    of all m realizations.
+    """
     if not grid_is_aligned(pulse, grid):
         raise GridMismatch(
             f"grid (span {grid.tau_p}) does not resolve every switching "
             f"instant of {pulse.name} (tau_p {pulse.tau_p})"
         )
-
-
-def bloch_of_state(u: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """Bloch vector of U rho0 U^dag for rho0 = (1 + r0.sigma)/2."""
-    rho0 = 0.5 * (IDENTITY + r0[0] * SIGMA_X + r0[1] * SIGMA_Y + r0[2] * SIGMA_Z)
-    rho = u @ rho0 @ u.conj().T
-    return np.array([np.trace(rho @ SIGMA_X).real,
-                     np.trace(rho @ SIGMA_Y).real,
-                     np.trace(rho @ SIGMA_Z).real])
-
-
-def evolve(pulse: PiecewiseConstantPulse, noise: NoiseRealization,
-           initial_bloch=None) -> UnitaryResult:
-    """Evolve one noise realization through the pulse.
-
-    Returns the total propagator, the correcting factor P^dag U_tot relative
-    to the ideal instantaneous pulse, and (when ``initial_bloch`` is given)
-    the Bloch-vector trajectory of that initial state after every step.
-    """
-    grid = noise.grid
-    _check_alignment(pulse, grid)
-    mids = grid.midpoints
-    widths = grid.widths
-    v_mid = pulse.amplitudes_on(mids)
-
-    track = initial_bloch is not None
-    if track:
-        r0 = np.asarray(initial_bloch, dtype=float)
-        bloch = np.empty((grid.n_steps + 1, 3))
-        bloch[0] = r0
-
-    u = IDENTITY.copy()
-    for i in range(grid.n_steps):
-        u = step_propagator(noise.values[i], v_mid[i], widths[i]) @ u
-        if track:
-            bloch[i + 1] = bloch_of_state(u, r0)
-
-    trajectory = Trajectory(grid.boundaries.copy(), bloch) if track else None
-    u_correcting = ideal_pulse().conj().T @ u
-    return UnitaryResult(u, u_correcting, trajectory)
-
-
-# -- vectorized ensemble evolution (quaternion components) --------------------
-
-
-def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
-                    eta_block: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Evolve many realizations at once.
-
-    ``eta_block`` has shape (n_steps, m): row i holds the step-i noise values
-    of all m realizations.  Returns the quaternion components (w, x, y, z) of
-    U_tot per realization, with U = w 1 - i (x sx + y sy + z sz).
-    """
-    _check_alignment(pulse, grid)
     if eta_block.shape[0] != grid.n_steps:
         raise GridMismatch(
             f"noise block has {eta_block.shape[0]} rows for {grid.n_steps} steps")
@@ -145,6 +84,7 @@ def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
     x = np.zeros(m)
     y = np.zeros(m)
     z = np.zeros(m)
+    yield w, x, y, z
     for i in range(grid.n_steps):
         eta = eta_block[i]
         v = v_mid[i]
@@ -168,20 +108,42 @@ def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
                       c * x + sx * w - sz * y,
                       c * y - sx * z + sz * x,
                       c * z + sx * y + sz * w)
-    return w, x, y, z
+        yield w, x, y, z
 
 
-def quaternion_of_unitary(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Components (w, x, y, z) with U = w 1 - i (x sx + y sy + z sz).
+def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
+                    eta_block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Evolve many realizations at once.
 
-    Exact for special unitaries; a global phase leaks into imaginary parts
-    that are discarded here.
+    ``eta_block`` has shape (n_steps, m): row i holds the step-i noise values
+    of all m realizations.  Returns the quaternion components (w, x, y, z) of
+    U_tot per realization, with U = w 1 - i (x sx + y sy + z sz).
     """
-    w = 0.5 * (u[0, 0] + u[1, 1]).real
-    z = 0.5 * (u[1, 1] - u[0, 0]).imag
-    x = -0.5 * (u[0, 1] + u[1, 0]).imag
-    y = 0.5 * (u[1, 0] - u[0, 1]).real
-    return w, x, y, z
+    for q in _step_product(pulse, grid, eta_block):
+        pass
+    return q
+
+
+def evolve(pulse: PiecewiseConstantPulse, noise: NoiseRealization,
+           initial_bloch=None) -> UnitaryResult:
+    """Evolve one noise realization through the pulse.
+
+    Returns the total propagator, the correcting factor P^dag U_tot relative
+    to the ideal instantaneous pulse, and (when ``initial_bloch`` is given)
+    the Bloch-vector trajectory of that initial state after every step.
+    """
+    grid = noise.grid
+    steps = _step_product(pulse, grid, noise.values[:, None])
+    quats = np.array(list(steps))[:, :, 0]           # (N+1, 4)
+    u_total = unitary_of_quaternion(*quats[-1])
+    trajectory = None
+    if initial_bloch is not None:
+        r0 = np.asarray(initial_bloch, dtype=float)
+        # U rho U^dag rotates r0 by the quaternion: r0 + w t + v x t, t = 2 v x r0
+        w, v = quats[:, :1], quats[:, 1:]
+        t = 2.0 * np.cross(v, r0)
+        trajectory = Trajectory(grid.boundaries.copy(), r0 + w * t + np.cross(v, t))
+    return UnitaryResult(u_total, ideal_pulse().conj().T @ u_total, trajectory)
 
 
 def unitary_of_quaternion(w, x, y, z) -> np.ndarray:

@@ -162,6 +162,15 @@ class TestOtherSubcommands:
         payload = json.loads((tmp_path / "noise_validate.json").read_text())
         assert payload["max_cov_sigma"] < 5.0
 
+    def test_noise_validate_with_offset(self, tmp_path):
+        # a constant offset eta0 shifts the mean, not the covariance
+        code = run(["noise-validate", "--model", "gaussian", "--gamma", "0.5",
+                    "--eta0", "0.5", "--steps", "8", "--realizations", "20000",
+                    "--seed", "2", "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "noise_validate.json").read_text())
+        assert payload["max_cov_sigma"] < 5.0 and payload["max_mean_sigma"] < 5.0
+
     @pytest.mark.parametrize("args", [
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
          "--realizations", "1"],
@@ -173,8 +182,15 @@ class TestOtherSubcommands:
         # the exponential default upper end 3e-2 lies below this lower end
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
          "--fit-min", "5e-2"],
+        ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--realizations", "0"],
+        ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--realizations", "1"],
+        ["nogo", "--pulse", "scorpse", "--grid", "0"],
+        ["nogo", "--pulse", "scorpse", "--grid", "-3"],
+        ["design", "--model", "exponential", "--gamma", "0.01", "--restarts", "0"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
-            "prefactor-rect", "nogo-unknown-pulse", "empty-fit-window"])
+            "prefactor-rect", "nogo-unknown-pulse", "empty-fit-window",
+            "noise-validate-no-realization", "noise-validate-one-realization",
+            "nogo-zero-grid", "nogo-negative-grid", "design-zero-restarts"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()

@@ -146,16 +146,9 @@ class TestSampling:
         grid = TimeGrid.uniform(1.0, 16)
         s1 = build_sampler(model, grid, seed=99)
         s2 = build_sampler(model, grid, seed=99)
-        for _ in range(3):
-            np.testing.assert_array_equal(s1.sample().values, s2.sample().values)
-
-    def test_successive_samples_advance(self):
-        model = AutocorrelationModel("gaussian", g0=1.0, gamma=0.5)
-        grid = TimeGrid.uniform(1.0, 8)
-        sampler = build_sampler(model, grid, seed=1)
-        a = sampler.sample().values
-        b = sampler.sample().values
-        assert not np.array_equal(a, b)
+        for stream in [(), (0,), (3, 1)]:
+            np.testing.assert_array_equal(s1.sample_block(5, stream=stream),
+                                          s2.sample_block(5, stream=stream))
 
     def test_block_streams_reproducible_and_independent(self):
         model = AutocorrelationModel("gaussian", g0=1.0, gamma=0.5)

@@ -11,8 +11,7 @@ from .errors import (CatalogInvalid, EigenvalueTooNegative, GridMismatch,
                      InsufficientPoints, MissingTrajectory, NoFeasiblePoint,
                      NotFirstOrder, NotUnitary, OutOfRangeError, PulselabError)
 from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN,
-                    NoiseRealization, NoiseSampler, TimeGrid, build_sampler,
-                    evaluate_autocorrelation)
+                    NoiseRealization, NoiseSampler, TimeGrid, build_sampler)
 from .pulses import (PiecewiseConstantPulse, PulseCatalog, PulseSegment,
                      build_time_grid, first_order_integrals, load_catalog,
                      save_catalog, truncate_pulse, validate_catalog)

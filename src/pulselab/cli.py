@@ -103,8 +103,8 @@ def _build_parser() -> _Parser:
     add_common(p)
     add_model(p)
     p.add_argument("--segments", type=int, help="segment count (default 3)")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--budget", type=int, help="objective evaluations per restart")
+    p.add_argument("--restarts", type=int, help="random starts per segment count")
+    p.add_argument("--budget", type=int, help="SLSQP iterations per start")
     p.add_argument("--vmax", type=float, help="amplitude bound in 1/tau_p units")
 
     p = sub.add_parser("noise-validate", help="sample-covariance statistics")

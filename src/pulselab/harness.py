@@ -74,6 +74,8 @@ class ScalingExperimentConfig:
             raise ValueError("need at least 2 realizations")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.fit_window is not None and not 0 < self.fit_window[0] < self.fit_window[1]:
             raise ValueError("fit_window must satisfy 0 < lo < hi")
 

@@ -17,7 +17,8 @@ which is manifestly positive once S = C = 0 (F(1) = 0), since B annihilates
 no nonzero function.  K, the first moments and the ordered sine integral are
 short sums over the closed-form segment primitives of ``pulses``.
 verify_nogo checks the operator identity on a discretized grid; minimize_i32
-searches for the attainable minimum of the exact K.
+searches for the attainable minimum of the exact K with SLSQP, nested over
+the segment count.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused; the benchmark tracer wraps magnus.quad
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares  # noqa: F401  unused; the benchmark tracer wraps magnus.least_squares
+from scipy.optimize import minimize
 
 from .errors import GridMismatch, NoFeasiblePoint, NotFirstOrder
 from .noise import AutocorrelationModel, NoiseRealization
 from .pulses import (PiecewiseConstantPulse, PulseSegment, _segment_primitives,
-                     first_order_integrals, grid_is_aligned)
+                     first_order_integrals, grid_is_aligned, load_catalog)
 
 FIRST_ORDER_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
@@ -188,8 +190,8 @@ def verify_nogo(pulse: PiecewiseConstantPulse, grid_n: int,
     operator composition carries one dt factor per intermediate sum.  The
     identity residual is dt/2 on exact arithmetic, i.e. O(dt).
     """
-    if grid_n < 1:
-        raise ValueError("grid_n must be >= 1")
+    if grid_n < 2:
+        raise ValueError("grid_n must be >= 2")
     s_val, c_val = first_order_integrals(pulse)
     tol = FIRST_ORDER_TOL * pulse.tau_p
     if abs(s_val) > tol or abs(c_val) > tol:
@@ -235,140 +237,112 @@ def verify_nogo(pulse: PiecewiseConstantPulse, grid_n: int,
 
 # -- constrained minimization of I_3/2 -----------------------------------------
 
+#: smallest segment width of a designed pulse, in fractions of tau_p
+MIN_GAP = 5e-3
+#: catalog pi-pulses that satisfy the constraints and start the 3-segment search
+_SEED_SHAPES = ("CORPSE", "SCORPSE")
 
-def _pulse_from_params(bounds_interior: np.ndarray, amps: np.ndarray,
-                       name: str = "designed") -> PiecewiseConstantPulse:
-    edges = np.concatenate([[0.0], bounds_interior, [1.0]])
-    segs = tuple(
-        PulseSegment(float(edges[k]), float(edges[k + 1]), float(amps[k]))
-        for k in range(len(amps))
-    )
+
+def _params_of(pulse: PiecewiseConstantPulse) -> np.ndarray:
+    """theta = (segment widths, amplitudes) of a pulse."""
+    return np.array([s.end - s.start for s in pulse.segments]
+                    + [s.amplitude_taup for s in pulse.segments])
+
+
+def _pulse_from_params(theta: np.ndarray, name: str = "designed") -> PiecewiseConstantPulse:
+    """The tau_p = 1 pulse of theta = (n widths, n amplitudes).
+
+    The edges are the cumulative sums of w / sum(w), so any positive widths
+    give a valid pulse, whether or not they add up to 1.
+    """
+    n = theta.size // 2
+    edges = np.concatenate([[0.0], np.cumsum(theta[:n]) / theta[:n].sum()])
+    edges[-1] = 1.0
+    segs = tuple(PulseSegment(float(edges[k]), float(edges[k + 1]), float(theta[n + k]))
+                 for k in range(n))
     return PiecewiseConstantPulse(name, 1.0, segs, order=1)
 
 
-def _constraints_frac(bounds_interior: np.ndarray, amps: np.ndarray) -> np.ndarray:
+def _constraints_frac(pulse: PiecewiseConstantPulse) -> np.ndarray:
     """(total angle - pi, S, C) in fraction units, closed form."""
-    pulse = _pulse_from_params(bounds_interior, amps)
     s_val, c_val = first_order_integrals(pulse)
     return np.array([pulse.total_angle - math.pi, s_val, c_val])
 
 
-def _project_boundaries(raw: np.ndarray, min_gap: float) -> np.ndarray:
-    b = np.sort(np.clip(np.asarray(raw, dtype=float), min_gap, 1.0 - min_gap))
-    for k in range(1, b.size):
-        b[k] = max(b[k], b[k - 1] + min_gap)
-    b[-1] = min(b[-1], 1.0 - min_gap)
-    for k in range(b.size - 2, -1, -1):
-        b[k] = min(b[k], b[k + 1] - min_gap)
-    return b
-
-
 def minimize_i32(n_segments: int, model: AutocorrelationModel,
                  budget: int = 15000, restarts: int = 10, seed: int = 0,
-                 v_max_taup: float = DEFAULT_V_MAX_TAUP, min_gap: float = 5e-3,
-                 initial: Optional[PiecewiseConstantPulse] = None):
+                 v_max_taup: float = DEFAULT_V_MAX_TAUP):
     """Minimize I_3/2 over n-segment pi-pulses with S = C = 0.
 
-    Restarted compass pattern search on a penalized objective (penalty weight
-    times 10 per restart), followed by a least-squares polish of the
-    amplitudes onto the constraint manifold.  The search objective and the
-    final scoring both use the closed-form I_3/2 kernel.  Amplitudes are
-    bounded by ``v_max_taup`` so that shrinking the support cannot shrink
-    I_3/2 without limit.
+    One constrained solver: SLSQP on the closed-form kernel K of
+    theta = (n widths in [MIN_GAP, 1], n amplitudes in [-v_max_taup,
+    v_max_taup]) under the equality constraints angle = pi, S = C = 0 and
+    sum(w) = 1, with finite-difference gradients; ``budget`` is its iteration
+    limit per start.  The search is nested in the segment count: the
+    3-segment stage starts from CORPSE, SCORPSE and ``restarts`` random
+    points, and stage n + 1 from stage n's best with its longest segment
+    split in two (the same pulse, so it keeps its value) and ``restarts``
+    random points.  Every start is itself a candidate, so the best value
+    never rises with n.  The amplitude bound keeps a shrinking support from
+    shrinking I_3/2 without limit.
 
     Returns (best_pulse, i32_min) with the pulse at tau_p = 1.
 
-    Raises NoFeasiblePoint when no restart ends within the constraint
-    tolerance 1e-8.
+    Raises NoFeasiblePoint when no candidate meets the constraints within
+    FEASIBILITY_TOL.
     """
     if n_segments < 3:
         raise ValueError("need at least 3 segments")
     if model.cusp_coefficient == 0.0:
         raise ValueError("I_3/2 vanishes identically for analytic models")
-    if restarts < 1 and initial is None:
-        raise ValueError("need at least 1 restart or an initial pulse")
+    if restarts < 1:
+        raise ValueError("need at least 1 restart")
+    if v_max_taup <= 0.0:
+        raise ValueError("v_max_taup must be positive")
 
-    def objective(theta, weight) -> float:
-        b = _project_boundaries(theta[: n_segments - 1], min_gap)
-        amps = np.clip(theta[n_segments - 1:], -v_max_taup, v_max_taup)
-        cons = _constraints_frac(b, amps)
-        kernel = _i32_shape_kernel(_pulse_from_params(b, amps).segments)
-        return kernel + weight * float(cons @ cons)
+    @lru_cache(maxsize=64)  # SLSQP asks for K and the constraints at the same points
+    def evaluate(key: bytes) -> tuple[float, np.ndarray]:
+        theta = np.frombuffer(key)
+        pulse = _pulse_from_params(theta)
+        return (_i32_shape_kernel(pulse.segments),
+                np.append(_constraints_frac(pulse), theta[: theta.size // 2].sum() - 1.0))
 
-    def polish(theta):
-        """Pull the amplitudes onto (angle, S, C) = 0 with minimal motion."""
-        b = _project_boundaries(theta[: n_segments - 1], min_gap)
-        amps0 = np.clip(theta[n_segments - 1:], -v_max_taup, v_max_taup)
-        sol = least_squares(
-            lambda amps: _constraints_frac(b, amps), amps0,
-            bounds=(-v_max_taup, v_max_taup), xtol=1e-15, ftol=1e-15, gtol=1e-15,
-        )
-        return b, sol.x, _constraints_frac(b, sol.x)
+    def kernel(theta):
+        return evaluate(theta.tobytes())[0]
 
-    def pattern_search(theta0, weight, evals_left) -> np.ndarray:
-        theta = theta0.copy()
-        best = objective(theta, weight)
-        scale = np.concatenate([np.full(n_segments - 1, 0.05),
-                                np.full(n_segments, 0.5)])
-        step = 1.0
-        used = 1
-        while used < evals_left and step > 1e-9:
-            improved = False
-            for k in range(theta.size):
-                for sign in (+1.0, -1.0):
-                    trial = theta.copy()
-                    trial[k] += sign * step * scale[k]
-                    val = objective(trial, weight)
-                    used += 1
-                    if val < best - 1e-15:
-                        theta, best = trial, val
-                        improved = True
-                        break
-                if used >= evals_left:
-                    break
-            if not improved:
-                step *= 0.5
-        return theta
+    def constraints(theta):
+        return evaluate(theta.tobytes())[1]
 
-    candidates = []
-    if initial is not None:
-        if len(initial.segments) != n_segments:
-            raise ValueError("initial pulse has wrong segment count")
-        edges = np.array([s.end for s in initial.segments[:-1]])
-        amps = np.array([s.amplitude_taup for s in initial.segments])
-        b, amps_p, cons = polish(np.concatenate([edges, amps]))
-        if np.abs(cons).max() <= FEASIBILITY_TOL:
-            candidates.append((b, amps_p))
-
-    for r in range(restarts):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
-        if initial is not None and r == 0:
-            theta0 = np.concatenate([
-                np.array([s.end for s in initial.segments[:-1]]),
-                np.array([s.amplitude_taup for s in initial.segments]),
-            ])
+    best, best_val = None, math.inf
+    for n in range(3, n_segments + 1):
+        if best is None:
+            catalog = load_catalog()
+            starts = [_params_of(catalog[name]) for name in _SEED_SHAPES]
         else:
-            theta0 = np.concatenate([
-                np.sort(rng.uniform(min_gap, 1 - min_gap, n_segments - 1)),
-                rng.uniform(-v_max_taup, v_max_taup, n_segments),
-            ])
-        weight = 1e2 * 10.0**r
-        theta = pattern_search(theta0, weight, budget)
-        b, amps_p, cons = polish(theta)
-        if np.abs(cons).max() <= FEASIBILITY_TOL:
-            candidates.append((b, amps_p))
+            # stage n - 1's best with its longest segment split in two is the
+            # same pulse: it keeps its value, so the best never rises
+            k = int(np.argmax(best[: n - 1]))
+            best = np.insert(best, [k, n - 1 + k], [best[k] / 2.0, best[n - 1 + k]])
+            best[k + 1] = best[k]
+            starts = [best]
+        lo = np.concatenate([np.full(n, MIN_GAP), np.full(n, -v_max_taup)])
+        hi = np.concatenate([np.ones(n), np.full(n, v_max_taup)])
+        for r in range(restarts):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(n, r))))
+            starts.append(rng.uniform(lo, hi))
+        for theta0 in starts:
+            theta0 = np.clip(theta0, lo, hi)
+            sol = minimize(kernel, theta0, method="SLSQP", bounds=list(zip(lo, hi)),
+                           constraints={"type": "eq", "fun": constraints},
+                           options={"maxiter": budget, "ftol": 1e-15})
+            for theta in (theta0, sol.x):
+                val, cons = evaluate(theta.tobytes())
+                if np.abs(cons[:3]).max() <= FEASIBILITY_TOL and val < best_val:
+                    best, best_val = theta, val
+        if best is None:
+            raise NoFeasiblePoint(
+                f"no feasible {n}-segment pulse from {len(starts)} starts")
 
-    if not candidates:
-        raise NoFeasiblePoint(
-            f"no feasible {n_segments}-segment pulse within {restarts} restarts"
-        )
-
-    best_pulse = None
-    best_val = math.inf
-    for b, amps in candidates:
-        pulse = _pulse_from_params(b, amps, name=f"designed-{n_segments}seg")
-        val = evaluate_i32(pulse, model)
-        if val < best_val:
-            best_pulse, best_val = pulse, val
-    return best_pulse, best_val
+    pulse = _pulse_from_params(best, name=f"designed-{n_segments}seg")
+    return pulse, model.cusp_coefficient * best_val

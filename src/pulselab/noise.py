@@ -71,11 +71,6 @@ class AutocorrelationModel:
         return 0.0
 
 
-def evaluate_autocorrelation(model: AutocorrelationModel, t):
-    """Evaluate g(t) for the given model."""
-    return model.evaluate(t)
-
-
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing step boundaries 0 = t_0 < ... < t_N = tau_p.

@@ -29,9 +29,9 @@ FIRST_ORDER_TOL = 1e-9
 
 #: below this segment angle |b dx| the closed forms lose digits to cancellation
 #: (about 14 are left just above it) and Taylor series take over.  It lies under
-#: the smallest segment angle of the shipped shapes (0.499) and of the designs
-#: that ``minimize_i32`` finds at seed 0 (0.109), so their S and C keep the
-#: bits of the closed form.
+#: the smallest segment angle of the shipped shapes (0.499) and of the 3- to
+#: 5-segment designs that ``minimize_i32`` finds at seed 0 (above 0.9 at budget
+#: 2000 x 3 restarts), so their S and C keep the bits of the closed form.
 SERIES_MAX_ANGLE = 0.1
 #: 1/(n+3)! for n = 9..0, enough for full precision below SERIES_MAX_ANGLE
 _SERIES_COEFFS = tuple(1.0 / math.factorial(n + 3) for n in range(9, -1, -1))
@@ -162,12 +162,13 @@ def _segment_primitives(pulse: PiecewiseConstantPulse
     Q = 2 dx^3 Re E_3, where e0 = e^{i psi(x0)}.  The series branch is exact at
     b = 0.
     """
-    psis = pulse.edge_angles
     table = []
-    for seg, p0, p1 in zip(pulse.segments, psis[:-1], psis[1:]):
+    p1 = 0.0  # psi at the segment end, summed as edge_angles sums it
+    for seg in pulse.segments:
         dx = seg.end - seg.start
         b = 2.0 * seg.amplitude_taup
         theta = b * dx
+        p0, p1 = p1, p1 + theta
         e0 = complex(math.cos(p0), math.sin(p0))
         if abs(theta) < SERIES_MAX_ANGLE:
             e3 = 0j

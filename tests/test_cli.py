@@ -187,10 +187,16 @@ class TestOtherSubcommands:
         ["nogo", "--pulse", "scorpse", "--grid", "0"],
         ["nogo", "--pulse", "scorpse", "--grid", "-3"],
         ["design", "--model", "exponential", "--gamma", "0.01", "--restarts", "0"],
+        ["design", "--model", "exponential", "--gamma", "0.01", "--vmax", "-1"],
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+         "--workers", "0"],
+        # one grid point cannot resolve the kernel's sign function
+        ["nogo", "--pulse", "scorpse", "--grid", "1"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "nogo-unknown-pulse", "empty-fit-window",
             "noise-validate-no-realization", "noise-validate-one-realization",
-            "nogo-zero-grid", "nogo-negative-grid", "design-zero-restarts"])
+            "nogo-zero-grid", "nogo-negative-grid", "design-zero-restarts",
+            "design-negative-vmax", "scaling-zero-workers", "nogo-one-point-grid"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()

@@ -144,6 +144,8 @@ class TestRunScaling:
             small_config(chunk_size=0)
         with pytest.raises(ValueError):
             small_config(fit_window=(3e-2, 1e-3))
+        with pytest.raises(ValueError):
+            small_config(workers=0)
 
 
 class TestPrefactorCheck:

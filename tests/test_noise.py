@@ -8,25 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulselab import (AutocorrelationModel, EigenvalueTooNegative,
-                      NoiseRealization, TimeGrid, build_sampler,
-                      evaluate_autocorrelation)
+                      NoiseRealization, TimeGrid, build_sampler)
 
 
 class TestAutocorrelationModel:
     def test_gaussian_at_zero(self):
         model = AutocorrelationModel("gaussian", g0=1.0, gamma=0.1)
-        assert evaluate_autocorrelation(model, 0.0) == 1.0
+        assert model.evaluate(0.0) == 1.0
 
     def test_exponential_one_decay_time(self):
         model = AutocorrelationModel("exponential", g0=1.0, gamma=2.7)
-        got = evaluate_autocorrelation(model, 1.0 / 2.7)
+        got = model.evaluate(1.0 / 2.7)
         np.testing.assert_allclose(got, math.exp(-1.0), rtol=1e-14)
 
     def test_gaussian_hand_value(self):
         # g0=2, gamma=0.5, t=2: 4 exp(-0.25*4) = 4/e
         model = AutocorrelationModel("gaussian", g0=2.0, gamma=0.5)
-        np.testing.assert_allclose(evaluate_autocorrelation(model, 2.0),
-                                   4.0 * math.exp(-1.0), rtol=1e-14)
+        np.testing.assert_allclose(model.evaluate(2.0), 4.0 * math.exp(-1.0), rtol=1e-14)
 
     @given(t=st.floats(-50, 50), gamma=st.floats(0, 3), g0=st.floats(0.1, 5),
            kind=st.sampled_from(["gaussian", "exponential"]))

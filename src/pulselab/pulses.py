@@ -162,13 +162,12 @@ def _segment_primitives(pulse: PiecewiseConstantPulse
     Q = 2 dx^3 Re E_3, where e0 = e^{i psi(x0)}.  The series branch is exact at
     b = 0.
     """
+    psis = pulse.edge_angles.tolist()
     table = []
-    p1 = 0.0  # psi at the segment end, summed as edge_angles sums it
-    for seg in pulse.segments:
+    for seg, p0, p1 in zip(pulse.segments, psis[:-1], psis[1:]):
         dx = seg.end - seg.start
         b = 2.0 * seg.amplitude_taup
         theta = b * dx
-        p0, p1 = p1, p1 + theta
         e0 = complex(math.cos(p0), math.sin(p0))
         if abs(theta) < SERIES_MAX_ANGLE:
             e3 = 0j

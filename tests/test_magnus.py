@@ -15,7 +15,7 @@ from pulselab import (AutocorrelationModel, NoFeasiblePoint,
                       first_moment_integrals, first_order_integrals,
                       first_order_terms, load_catalog, minimize_i32,
                       ordered_sine_integral, verify_nogo)
-from pulselab.magnus import _i32_shape_kernel
+from pulselab.magnus import MIN_GAP, _i32_shape_kernel
 from pulselab.pulses import PiecewiseConstantPulse, PulseSegment
 
 EXP_MODEL = AutocorrelationModel("exponential", g0=1.0, gamma=0.01)
@@ -325,6 +325,7 @@ class TestMinimizeI32:
             pulse, val = minimize_i32(n_seg, EXP_MODEL, budget=300, restarts=1, seed=0)
             assert len(pulse.segments) == n_seg
             assert self.constraint_residual(pulse) <= 1e-8
+            assert min(s.end - s.start for s in pulse.segments) >= MIN_GAP * (1.0 - 1e-8)
             values.append(val)
         assert all(b <= a for a, b in zip(values, values[1:])), values
 
@@ -332,6 +333,15 @@ class TestMinimizeI32:
         scorpse = evaluate_i32(catalog["SCORPSE"].with_duration(1.0), EXP_MODEL)
         _, val = minimize_i32(3, EXP_MODEL, budget=300, restarts=1, seed=1)
         assert 0.0 < val <= scorpse
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_three_segments_reach_the_bang_bang_basin(self, seed):
+        # the best 3-segment pulse seen (widths 0.228/0.544/0.228, amplitudes
+        # at -+- the bound) lies in the basin of the bang-bang start, so the
+        # value does not hang on the random starts
+        pulse, val = minimize_i32(3, EXP_MODEL, budget=300, restarts=1, seed=seed)
+        assert self.constraint_residual(pulse) <= 1e-8
+        assert 0.0 < val <= 1.072e-4
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_three_segments_feasible_at_seed(self, seed):

@@ -2,7 +2,7 @@
 
 Subcommands
     scaling          amplitude sweep + exponent fits (CSV, summary JSON, .dat)
-    prefactor        measured vs predicted cubic law for CORPSE/SCORPSE
+    prefactor        measured vs predicted cubic law for a first-order pulse
     nogo             discretized kernel-operator report for a first-order pulse
     design           constrained minimization of the anomalous integral
     noise-validate   sample-covariance check of the noise synthesis
@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("prefactor", help="cubic-law prefactor comparison")
     add_common(p)
     add_model(p)
-    p.add_argument("--pulse", help="corpse or scorpse")
+    p.add_argument("--pulse", help="first-order pulse name (default corpse)")
     p.add_argument("--inv-v", dest="inv_v", help="comma-separated 1/v values")
     p.add_argument("--realizations", type=int)
     p.add_argument("--steps", type=int)
@@ -224,15 +224,16 @@ def _cmd_scaling(conf: dict) -> int:
 
 
 def _cmd_prefactor(conf: dict) -> int:
+    catalog = _load_catalog(conf)
+    name = _known_pulse(catalog, str(_get(conf, "pulse", "corpse")))
     model = _model_from(conf)
-    name = str(_get(conf, "pulse", "corpse"))
     inv_vs = _float_list(_get(conf, "inv_v", "3e-3,1e-2"))
     rows = harness.run_prefactor_check(
         name, model, inv_vs,
         realizations=int(_get(conf, "realizations", 50000)),
         steps_per_pulse=int(_get(conf, "steps", 512)),
         seed=int(_get(conf, "seed", _default_seed())),
-        catalog=_load_catalog(conf),
+        catalog=catalog,
     )
     out = _outdir(conf)
     path = os.path.join(out, f"prefactor_{name.lower()}.csv")

@@ -25,11 +25,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientPoints
+from .magnus import evaluate_i32
 from .metrics import MonteCarloEstimate, accumulate_values, ensemble_frobenius
 from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN, NoiseSampler,
                     TimeGrid, build_sampler)
 from .propagator import evolve_ensemble
-from .pulses import PiecewiseConstantPulse, PulseCatalog, build_time_grid, load_catalog
+from .pulses import (FIRST_ORDER_TOL, PiecewiseConstantPulse, PulseCatalog, build_time_grid,
+                     first_order_integrals, load_catalog)
 
 #: points whose relative standard error of mean Delta_F exceeds this are excluded
 REL_STDERR_MAX = 0.05
@@ -41,13 +43,6 @@ DEFAULT_FIT_WINDOWS = {
     GAUSSIAN: (1e-3, 1e-1),
     EXPONENTIAL: (1e-3, 3e-2),
 }
-
-PREFACTOR_COEFFS = {
-    # leading mean DF^2 = coeff * g0^2 * gamma * (1/v)^3 under exponential noise
-    "CORPSE": 4.0 * math.pi,
-    "SCORPSE": 8.0 * math.pi / 3.0,
-}
-
 
 @dataclass(frozen=True)
 class ScalingExperimentConfig:
@@ -349,22 +344,27 @@ def run_prefactor_check(pulse_name: str, model: AutocorrelationModel,
                         inv_v_list: Sequence[float], realizations: int,
                         steps_per_pulse: int = 512, seed: int = 0,
                         catalog: Optional[PulseCatalog] = None) -> list[PrefactorRow]:
-    """Measured mean DF^2 against the leading cubic law for CORPSE/SCORPSE."""
-    name = pulse_name.upper()
-    if name not in PREFACTOR_COEFFS:
-        raise ValueError("prefactor check supports CORPSE and SCORPSE only")
-    if model.kind != EXPONENTIAL:
-        raise ValueError("prefactor check requires the exponential model")
+    """Measured mean DF^2 against the leading cubic law of a first-order pulse.
+
+    With S = C = 0 the leading term of mean DF^2 under exponential noise is
+    (4/3) I_3/2 = (4/3) a K tau_p^3, from the closed-form shape kernel K.
+    """
     catalog = catalog or load_catalog()
-    base = catalog[name]
-    coeff = PREFACTOR_COEFFS[name]
+    base = catalog[pulse_name]
+    s_val, c_val = first_order_integrals(base)
+    if max(abs(s_val), abs(c_val)) > FIRST_ORDER_TOL * base.tau_p:
+        raise ValueError(f"prefactor check needs a first-order pulse; {base.name} has "
+                         f"S={s_val:.2e}, C={c_val:.2e}")
+    if model.cusp_coefficient == 0.0:
+        raise ValueError("prefactor check requires a cusp: the exponential model "
+                         "with gamma > 0")
     rows = []
     for k, inv_v in enumerate(inv_v_list):
         scaled = base.for_inverse_amplitude(inv_v)
         grid = build_time_grid(scaled, steps_per_pulse)
         sampler = build_sampler(model, grid, seed)
         est = _run_cell(scaled, grid, sampler, k, realizations)["df2"]
-        predicted = coeff * model.g0**2 * model.gamma * inv_v**3
+        predicted = 4.0 / 3.0 * evaluate_i32(scaled, model)
         rows.append(PrefactorRow(inv_v, est.mean_df2, est.stderr_df2, predicted))
     return rows
 

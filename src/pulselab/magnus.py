@@ -35,10 +35,10 @@ from scipy.optimize import minimize
 
 from .errors import GridMismatch, NoFeasiblePoint, NotFirstOrder
 from .noise import AutocorrelationModel, NoiseRealization
-from .pulses import (PiecewiseConstantPulse, PulseSegment, _segment_primitives,
-                     first_order_integrals, grid_is_aligned, load_catalog)
+from .pulses import (FIRST_ORDER_TOL, PiecewiseConstantPulse, PulseSegment,
+                     _primitive_table, _segment_primitives, first_order_integrals,
+                     grid_is_aligned, load_catalog)
 
-FIRST_ORDER_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
 
 DEFAULT_V_MAX_TAUP = 4.0 * math.pi
@@ -68,33 +68,22 @@ class NoGoReport:
 # -- step-exact first-order integrals -----------------------------------------
 
 
-def _step_trig_integrals(pulse: PiecewiseConstantPulse, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-step integrals of sin psi and cos psi (psi linear per step)."""
-    psi_edges = pulse.angles_on(grid.boundaries)
-    widths = grid.widths
-    slopes = 2.0 * pulse.amplitudes_on(grid.midpoints)  # d(psi)/dt per step
-    p0 = psi_edges[:-1]
-    p1 = psi_edges[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        int_sin = np.where(slopes != 0.0,
-                           (np.cos(p0) - np.cos(p1)) / np.where(slopes == 0, 1, slopes),
-                           widths * np.sin(p0))
-        int_cos = np.where(slopes != 0.0,
-                           (np.sin(p1) - np.sin(p0)) / np.where(slopes == 0, 1, slopes),
-                           widths * np.cos(p0))
-    return int_sin, int_cos
-
-
 def first_order_terms(pulse: PiecewiseConstantPulse,
                       noise: NoiseRealization) -> MagnusFirstOrder:
-    """mu_y^(1), mu_z^(1) for a step-constant realization (exact per step)."""
+    """mu_y^(1), mu_z^(1) for a step-constant realization (exact per step).
+
+    Step i adds eta_i times int e^{i psi} dt over the step, the dF of the
+    primitive table built on the grid's steps; the sums are exactly rounded.
+    """
     if not grid_is_aligned(pulse, noise.grid):
         raise GridMismatch("noise grid does not resolve the pulse's switching instants")
-    int_sin, int_cos = _step_trig_integrals(pulse, noise.grid)
-    return MagnusFirstOrder(
-        mu_y=float(np.dot(noise.values, int_sin)),
-        mu_z=float(np.dot(noise.values, int_cos)),
-    )
+    grid = noise.grid
+    table = _primitive_table(grid.widths.tolist(),
+                             (2.0 * pulse.amplitudes_on(grid.midpoints)).tolist(),
+                             pulse.angles_on(grid.boundaries).tolist())
+    terms = [eta * d_f for eta, (d_f, _, _, _) in zip(noise.values.tolist(), table)]
+    return MagnusFirstOrder(mu_y=math.fsum(t.imag for t in terms),
+                            mu_z=math.fsum(t.real for t in terms))
 
 
 # -- shape moments (closed forms, fraction units scaled by tau_p powers) -------

@@ -18,7 +18,7 @@ from .errors import EigenvalueTooNegative
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
 
-#: Default relative band in which negative eigenvalues are treated as round-off.
+#: Relative band in which negative eigenvalues are treated as round-off.
 EPS_CLIP = 1e-10
 
 
@@ -155,12 +155,10 @@ class NoiseSampler:
     generator from (seed, stream) and is therefore insensitive to scheduling.
     """
 
-    def __init__(self, model: AutocorrelationModel, grid: TimeGrid, seed: int,
-                 eps_clip: float = EPS_CLIP):
+    def __init__(self, model: AutocorrelationModel, grid: TimeGrid, seed: int):
         self.model = model
         self.grid = grid
         self.seed = int(seed)
-        self.eps_clip = float(eps_clip)
 
         mids = grid.midpoints
         gap = mids[:, None] - mids[None, :]
@@ -168,7 +166,7 @@ class NoiseSampler:
         # evaluate() is even in the gap, so cov is symmetric entry-for-entry
         eigvals, eigvecs = np.linalg.eigh(cov)
         lam_max = float(eigvals[-1])
-        floor = -self.eps_clip * lam_max
+        floor = -EPS_CLIP * lam_max
         if np.any(eigvals < floor):
             worst = float(eigvals.min())
             raise EigenvalueTooNegative(
@@ -194,7 +192,6 @@ class NoiseSampler:
         return self.transform @ z + self.model.eta0
 
 
-def build_sampler(model: AutocorrelationModel, grid: TimeGrid, seed: int,
-                  eps_clip: float = EPS_CLIP) -> NoiseSampler:
+def build_sampler(model: AutocorrelationModel, grid: TimeGrid, seed: int) -> NoiseSampler:
     """Construct a sampler (forms G, eigendecomposes, stores O sqrt(D))."""
-    return NoiseSampler(model, grid, seed, eps_clip=eps_clip)
+    return NoiseSampler(model, grid, seed)

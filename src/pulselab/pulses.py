@@ -8,8 +8,9 @@ tau_p = (v tau_p product) / v.  The rotation angle
 
 is piecewise linear, so F(x) = int_0^x e^{i psi} is "constant + c e^{i b x}" on
 each segment.  Every segment integral of the package (S and C here, the
-moments, the ordered sine integral and the anomalous kernel in ``magnus``) is a
-short sum over one table of closed-form per-segment primitives of F.
+moments, the ordered sine integral, the anomalous kernel and the per-step
+first-order Magnus integrals in ``magnus``) is a short sum over one table of
+closed-form primitives of F, built per segment or per grid step.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from .noise import TimeGrid
 ANGLE_TOL = 1e-9
 FIRST_ORDER_TOL = 1e-9
 
-#: below this segment angle |b dx| the closed forms lose digits to cancellation
-#: (about 14 are left just above it) and Taylor series take over.  It lies under
+#: below this angle |b dx| of a segment or grid step the closed forms lose
+#: digits to cancellation (about 14 are left just above it) and Taylor series
+#: take over, as they do for most steps of a fine grid.  It lies under
 #: the smallest segment angle of the shipped shapes (0.499) and of the 3- to
 #: 5-segment designs that ``minimize_i32`` finds at seed 0 (above 0.9 at budget
 #: 2000 x 3 restarts), so their S and C keep the bits of the closed form.
@@ -112,18 +114,6 @@ class PiecewiseConstantPulse:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _segment_index(self, x: float, side: str = "left") -> int:
-        ends = [s.end for s in self.segments]
-        k = int(np.searchsorted(ends, x, side=side))
-        return min(k, len(self.segments) - 1)
-
-    def amplitude_at(self, t: float) -> float:
-        """v(t) in real units (right-continuous at switching instants)."""
-        if not 0.0 <= t <= self.tau_p:
-            raise OutOfRangeError(f"t={t} outside [0, {self.tau_p}]")
-        seg = self.segments[self._segment_index(t / self.tau_p, side="right")]
-        return seg.amplitude_taup / self.tau_p
-
     def amplitudes_on(self, times: np.ndarray) -> np.ndarray:
         """Vectorized v(t) at an array of times inside [0, tau_p]."""
         x = np.asarray(times, dtype=float) / self.tau_p
@@ -137,7 +127,8 @@ class PiecewiseConstantPulse:
         if not 0.0 <= t <= self.tau_p:
             raise OutOfRangeError(f"t={t} outside [0, {self.tau_p}]")
         x = t / self.tau_p
-        k = self._segment_index(x)
+        k = min(int(np.searchsorted([s.end for s in self.segments], x)),
+                len(self.segments) - 1)
         seg = self.segments[k]
         return float(self.edge_angles[k] + 2.0 * seg.amplitude_taup * (x - seg.start))
 
@@ -151,22 +142,20 @@ class PiecewiseConstantPulse:
         return self.edge_angles[idx] + 2.0 * amps[idx] * (x - starts[idx])
 
 
-def _segment_primitives(pulse: PiecewiseConstantPulse
-                        ) -> list[tuple[complex, complex, float, complex]]:
-    """Closed-form integrals of g(y) = int_0^y e^{i psi(x0+u)} du per segment.
+def _primitive_table(widths: list[float], slopes: list[float], angles: list[float]
+                     ) -> list[tuple[complex, complex, float, complex]]:
+    """Closed-form integrals of g(y) = int_0^y e^{i psi(x0+u)} du per interval.
 
-    For each segment [x0, x0+dx] with d(psi)/dx = b, in fraction units:
-    ``(dF, G, Q, W)`` = (g(dx), int_0^dx g, int_0^dx |g|^2, int_0^dx g' conj(g)),
-    so F = F0 + g on the segment.  With E_k(theta) = sum_n (i theta)^n / (n+k)!
-    and theta = b dx: dF = e0 dx E_1, G = e0 W, W = dx^2 E_2 and
-    Q = 2 dx^3 Re E_3, where e0 = e^{i psi(x0)}.  The series branch is exact at
-    b = 0.
+    Interval k is [x0, x0+dx] with dx = widths[k], d(psi)/dx = b = slopes[k],
+    psi(x0) = angles[k] and psi(x0+dx) = angles[k+1], in any consistent time
+    unit: ``(dF, G, Q, W)`` = (g(dx), int_0^dx g, int_0^dx |g|^2,
+    int_0^dx g' conj(g)).  With E_k(theta) = sum_n (i theta)^n / (n+k)! and
+    theta = b dx: dF = e0 dx E_1, G = e0 W, W = dx^2 E_2 and
+    Q = 2 dx^3 Re E_3, where e0 = e^{i psi(x0)}.  The series branch is exact
+    at b = 0.
     """
-    psis = pulse.edge_angles.tolist()
     table = []
-    for seg, p0, p1 in zip(pulse.segments, psis[:-1], psis[1:]):
-        dx = seg.end - seg.start
-        b = 2.0 * seg.amplitude_taup
+    for dx, b, p0, p1 in zip(widths, slopes, angles[:-1], angles[1:]):
         theta = b * dx
         e0 = complex(math.cos(p0), math.sin(p0))
         if abs(theta) < SERIES_MAX_ANGLE:
@@ -184,6 +173,15 @@ def _segment_primitives(pulse: PiecewiseConstantPulse
             q = 2.0 * (dx - math.sin(theta) / b) / (b * b)
         table.append((d_f, e0 * w, q, w))
     return table
+
+
+def _segment_primitives(pulse: PiecewiseConstantPulse
+                        ) -> list[tuple[complex, complex, float, complex]]:
+    """The primitive table of the pulse's segments, in fraction units, so
+    F = F0 + g on each segment."""
+    return _primitive_table([s.end - s.start for s in pulse.segments],
+                            [2.0 * s.amplitude_taup for s in pulse.segments],
+                            pulse.edge_angles.tolist())
 
 
 def first_order_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from pulselab import load_catalog
+
+# every property test draws the same examples on every run
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 ACCEPTANCE_LINES = []
 

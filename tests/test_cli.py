@@ -178,6 +178,9 @@ class TestOtherSubcommands:
          "--inv-v", "1e-3,1e-3,1e-2"],
         ["prefactor", "--model", "gaussian"],
         ["prefactor", "--model", "exponential", "--pulse", "rect"],
+        ["prefactor", "--model", "exponential", "--pulse", "nope"],
+        # --gamma defaults to 0, which has no cusp and predicts no cubic law
+        ["prefactor", "--model", "exponential", "--pulse", "sym2nd"],
         ["nogo", "--pulse", "nope"],
         # the exponential default upper end 3e-2 lies below this lower end
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
@@ -193,7 +196,8 @@ class TestOtherSubcommands:
         # one grid point cannot resolve the kernel's sign function
         ["nogo", "--pulse", "scorpse", "--grid", "1"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
-            "prefactor-rect", "nogo-unknown-pulse", "empty-fit-window",
+            "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
+            "nogo-unknown-pulse", "empty-fit-window",
             "noise-validate-no-realization", "noise-validate-one-realization",
             "nogo-zero-grid", "nogo-negative-grid", "design-zero-restarts",
             "design-negative-vmax", "scaling-zero-workers", "nogo-one-point-grid"])

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from pulselab import (AutocorrelationModel, InsufficientPoints,
-                      ScalingExperimentConfig, fit_exponent,
+                      ScalingExperimentConfig, evaluate_i32, fit_exponent,
                       run_convergence_check, run_prefactor_check, run_scaling)
-from pulselab.harness import PREFACTOR_COEFFS
 
 EXP = AutocorrelationModel("exponential", gamma=0.01)
 GAUSS = AutocorrelationModel("gaussian", gamma=0.1)
@@ -154,8 +153,17 @@ class TestPrefactorCheck:
                                    realizations=8000, steps_per_pulse=256, seed=7)
         for row in rows:
             assert abs(row.measured_df2 - row.predicted_df2) < 4 * row.stderr_df2
-            pred = PREFACTOR_COEFFS["CORPSE"] * EXP.gamma * row.inv_v**3
-            assert row.predicted_df2 == pred
+            pred = 4.0 * math.pi * EXP.g0**2 * EXP.gamma * row.inv_v**3
+            np.testing.assert_allclose(row.predicted_df2, pred, rtol=1e-12)
+
+    def test_prediction_is_four_thirds_of_i32(self, catalog):
+        # any first-order shape: the prediction comes from its kernel K
+        inv_vs = (3e-3, 1e-2)
+        rows = run_prefactor_check("SYM2ND", EXP, inv_vs, realizations=200,
+                                   steps_per_pulse=64, seed=5)
+        base = catalog["SYM2ND"]
+        assert [r.predicted_df2 for r in rows] == [
+            4.0 / 3.0 * evaluate_i32(base.for_inverse_amplitude(v), EXP) for v in inv_vs]
 
     def test_matches_scaling_cells(self):
         # one cell runner and one stream layout: cell k of a one-pulse sweep
@@ -174,6 +182,9 @@ class TestPrefactorCheck:
             run_prefactor_check("RECT", EXP, [1e-2], 100)
         with pytest.raises(ValueError):
             run_prefactor_check("CORPSE", GAUSS, [1e-2], 100)
+        # gamma = 0 predicts a zero cubic law: every ratio would divide by 0
+        with pytest.raises(ValueError):
+            run_prefactor_check("CORPSE", AutocorrelationModel("exponential"), [1e-2], 100)
 
 
 class TestConvergenceCheck:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulselab import (AutocorrelationModel, EigenvalueTooNegative,
-                      NoiseRealization, TimeGrid, build_sampler)
+                      NoiseRealization, TimeGrid, build_sampler, noise)
 
 
 class TestAutocorrelationModel:
@@ -129,13 +129,14 @@ class TestSamplerConstruction:
         lam_max = np.linalg.eigvalsh(sampler.covariance)[-1]
         assert np.abs(recon - sampler.covariance).max() <= 10 * 1e-10 * lam_max
 
-    def test_eigenvalue_error_with_zero_band(self):
+    def test_eigenvalue_error_with_zero_band(self, monkeypatch):
         # a nearly singular covariance has tiny negative round-off eigenvalues;
         # with the clip band collapsed to zero they must be reported, not fixed
+        monkeypatch.setattr(noise, "EPS_CLIP", 0.0)
         model = AutocorrelationModel("gaussian", g0=1.0, gamma=1e-4)
         grid = TimeGrid.uniform(1.0, 64)
         with pytest.raises(EigenvalueTooNegative):
-            build_sampler(model, grid, seed=0, eps_clip=0.0)
+            build_sampler(model, grid, seed=0)
 
 
 class TestSampling:

@@ -63,7 +63,7 @@ class TestStepPropagator:
             np.testing.assert_allclose(u, ref, atol=1e-14)
 
     @given(eta=st.floats(-10, 10), v=st.floats(-10, 10), dt=st.floats(1e-6, 2.0))
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     def test_unitary_and_special(self, eta, v, dt):
         u, ref = one_step(eta, v, dt)
         np.testing.assert_allclose(u, ref, atol=1e-14)
@@ -159,7 +159,7 @@ class TestEnsembleEvolution:
            n_steps=st.integers(6, 80), m=st.integers(1, 4),
            scale=st.sampled_from([0.0, 1e-9, 0.1, 1.0, 10.0]),
            seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     def test_matches_expm_product(self, catalog, name, tau_p, n_steps, m, scale, seed):
         p = catalog[name].with_duration(tau_p)
         grid = build_time_grid(p, n_steps)

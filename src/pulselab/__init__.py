@@ -17,9 +17,9 @@ from .pulses import (PiecewiseConstantPulse, PulseCatalog, PulseSegment,
                      save_catalog, truncate_pulse, validate_catalog)
 from .propagator import (Trajectory, UnitaryResult, evolve, evolve_ensemble,
                          ideal_pulse)
-from .metrics import (FrobeniusSample, MonteCarloEstimate, accumulate,
-                      accumulate_values, ensemble_frobenius,
-                      frobenius_from_unitary, polarization_deviation)
+from .metrics import (FrobeniusSample, MonteCarloEstimate, accumulate_values,
+                      ensemble_frobenius, frobenius_from_unitary,
+                      polarization_deviation)
 from .magnus import (MagnusFirstOrder, NoGoReport, evaluate_i1, evaluate_i32,
                      evaluate_mu2x, first_moment_integrals, first_order_terms,
                      minimize_i32, ordered_sine_integral, verify_nogo)

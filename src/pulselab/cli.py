@@ -79,8 +79,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--inv-v-max", dest="inv_v_max", type=float)
     p.add_argument("--points", type=int, help="log-spaced 1/v count (default 8)")
     p.add_argument("--realizations", type=int)
-    p.add_argument("--steps", type=int, help="time steps per pulse (default 512)")
-    p.add_argument("--estimator", choices=["mean_df2", "mean_df"])
+    p.add_argument("--steps", type=int, help="time steps per pulse (default "
+                   f"{harness.ScalingExperimentConfig.steps_per_pulse})")
     p.add_argument("--fit-min", dest="fit_min", type=float)
     p.add_argument("--fit-max", dest="fit_max", type=float)
     p.add_argument("--workers", type=int)
@@ -142,6 +142,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _get(conf: dict, key: str, default=None):
     value = conf.get(key)
     return default if value is None else value
+
+
+def _given(conf: dict, **options) -> dict:
+    """``{param: cast(conf[key])}`` for each ``param=(key, cast)`` whose option is set;
+    an unset option is left out, so the library's default applies."""
+    return {param: cast(conf[key]) for param, (key, cast) in options.items()
+            if conf.get(key) is not None}
 
 
 def _model_from(conf: dict) -> AutocorrelationModel:
@@ -206,12 +213,10 @@ def _cmd_scaling(conf: dict) -> int:
         pulses=tuple(names),
         model=model,
         inv_v_grid=_inv_v_grid(conf),
-        realizations=int(_get(conf, "realizations", 20000)),
-        steps_per_pulse=int(_get(conf, "steps", 512)),
         seed=int(_get(conf, "seed", _default_seed())),
         fit_window=window,
-        estimator=_get(conf, "estimator", "mean_df2"),
-        workers=int(_get(conf, "workers", 1)),
+        **_given(conf, realizations=("realizations", int),
+                 steps_per_pulse=("steps", int), workers=("workers", int)),
     )
     result = harness.run_scaling(config, catalog)
     out = _outdir(conf)
@@ -231,9 +236,9 @@ def _cmd_prefactor(conf: dict) -> int:
     rows = harness.run_prefactor_check(
         name, model, inv_vs,
         realizations=int(_get(conf, "realizations", 50000)),
-        steps_per_pulse=int(_get(conf, "steps", 512)),
         seed=int(_get(conf, "seed", _default_seed())),
         catalog=catalog,
+        **_given(conf, steps_per_pulse=("steps", int)),
     )
     out = _outdir(conf)
     path = os.path.join(out, f"prefactor_{name.lower()}.csv")
@@ -283,10 +288,9 @@ def _cmd_design(conf: dict) -> int:
     pulse, i32_min = magnus.minimize_i32(
         n_segments=int(_get(conf, "segments", 3)),
         model=model,
-        budget=int(_get(conf, "budget", 15000)),
-        restarts=int(_get(conf, "restarts", 10)),
         seed=int(_get(conf, "seed", _default_seed())),
-        v_max_taup=float(_get(conf, "vmax", magnus.DEFAULT_V_MAX_TAUP)),
+        **_given(conf, budget=("budget", int), restarts=("restarts", int),
+                 v_max_taup=("vmax", float)),
     )
     out = _outdir(conf)
     path = os.path.join(out, "designed_pulse.json")

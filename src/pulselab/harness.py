@@ -9,8 +9,9 @@ for a given configuration regardless of worker count or scheduling.
 
 One cell runner, `_run_cell`, draws, evolves, reduces and accumulates every
 Monte-Carlo cell: the amplitude sweep, the prefactor check and both branches
-of the grid-convergence check call it.  Both fit estimators go through
-`fit_exponent`.
+of the grid-convergence check call it.  Every fit, `.dat` file and cell
+reads one statistic, mean DF^2, the quantity the analytic scaling laws
+predict; `run_scaling` passes it straight to `fit_exponent`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class ScalingExperimentConfig:
     steps_per_pulse: int = 512
     seed: int = 0
     fit_window: Optional[tuple[float, float]] = None
-    estimator: str = "mean_df2"          # "mean_df2" | "mean_df"
     workers: int = 1
     chunk_size: int = DEFAULT_CHUNK
 
@@ -63,8 +63,6 @@ class ScalingExperimentConfig:
             raise ValueError("inv_v_grid must be positive and strictly increasing")
         object.__setattr__(self, "inv_v_grid", iv)
         object.__setattr__(self, "pulses", tuple(p.upper() for p in self.pulses))
-        if self.estimator not in ("mean_df2", "mean_df"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.realizations < 2:
             raise ValueError("need at least 2 realizations")
         if self.chunk_size < 1:
@@ -88,7 +86,6 @@ class CellStats:
     pulse: str
     inv_v: float
     estimate: MonteCarloEstimate                       # of DF^2
-    df_direct: tuple[float, float]                     # (mean, stderr) of DF itself
     partials: tuple[MonteCarloEstimate, MonteCarloEstimate, MonteCarloEstimate]
 
     @property
@@ -140,7 +137,6 @@ class ScalingResult:
             "seed": self.config.seed,
             "realizations": self.config.realizations,
             "steps_per_pulse": self.config.steps_per_pulse,
-            "estimator": self.config.estimator,
             "fit_window": list(self.config.window),
             "fits": {
                 name: {
@@ -168,7 +164,8 @@ class ScalingResult:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("# inv_v  mean_df  stderr_df\n")
                 for c in rows:
-                    df, sd = _df_and_sigma(c, self.config.estimator)
+                    df = c.estimate.mean_df
+                    sd = c.estimate.stderr_df2 / (2.0 * df) if df > 0 else math.inf
                     fh.write(f"{c.inv_v!r} {df!r} {sd!r}\n")
             fit = self.fits.get(name)
             if fit is not None and math.isfinite(fit.slope):
@@ -228,31 +225,9 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
                      len(usable), tuple(excluded))
 
 
-def _fit_row(cell: CellStats, estimator: str) -> tuple[float, float, float]:
-    """(inv_v, mean DF^2, stderr) for `fit_exponent`.
-
-    The mean_df estimator feeds the squared direct DF mean with the
-    delta-method stderr 2 DF sigma_DF, which gives fit_exponent's log-space
-    uncertainty sigma_DF / (DF ln 10) and its exclusion rule sigma_DF / DF.
-    """
-    if estimator == "mean_df":
-        df, sd = cell.df_direct
-        return cell.inv_v, df * df, 2.0 * df * sd
-    return cell.inv_v, cell.estimate.mean_df2, cell.estimate.stderr_df2
-
-
-def _df_and_sigma(cell: CellStats, estimator: str) -> tuple[float, float]:
-    if estimator == "mean_df":
-        return cell.df_direct
-    est = cell.estimate
-    if est.mean_df <= 0:
-        return est.mean_df, math.inf
-    return est.mean_df, est.stderr_df2 / (2.0 * est.mean_df)
-
-
 # -- Monte-Carlo cells --------------------------------------------------------
 
-_CELL_KEYS = ("df2", "df", "partial_x", "partial_y", "partial_z")
+_CELL_KEYS = ("df2", "partial_x", "partial_y", "partial_z")
 
 
 def _run_cell(pulse: PiecewiseConstantPulse, grid: TimeGrid, sampler: NoiseSampler,
@@ -275,9 +250,7 @@ def _run_cell(pulse: PiecewiseConstantPulse, grid: TimeGrid, sampler: NoiseSampl
 
     def one_chunk(c: int) -> dict[str, np.ndarray]:
         w, x, y, z = evolve_ensemble(pulse, grid, draw(sizes[c], c))
-        out = ensemble_frobenius(w, x, y, z)
-        out["df"] = np.sqrt(out["df2"])
-        return out
+        return ensemble_frobenius(w, x, y, z)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -294,8 +267,8 @@ def run_scaling(config: ScalingExperimentConfig,
 
     For each cell: tau_p = (v tau_p product) * inv_v, one sampler build, M
     realizations evolved in chunks, means accumulated with exactly-rounded
-    summation.  The exponent fit uses the configured estimator over the fit
-    window with the standard exclusion rule.
+    summation.  The exponent fit reads mean DF^2 and its standard error over
+    the fit window with the standard exclusion rule.
     """
     catalog = catalog or load_catalog()
     result = ScalingResult(config)
@@ -312,11 +285,11 @@ def run_scaling(config: ScalingExperimentConfig,
                 pulse=name,
                 inv_v=inv_v,
                 estimate=est["df2"],
-                df_direct=(est["df"].mean_df2, est["df"].stderr_df2),
                 partials=(est["partial_x"], est["partial_y"], est["partial_z"]),
             ))
             cell_index += 1
-        pts = [_fit_row(c, config.estimator) for c in result.cells_for(name)]
+        pts = [(c.inv_v, c.estimate.mean_df2, c.estimate.stderr_df2)
+               for c in result.cells_for(name)]
         result.fits[name] = fit_exponent(pts, config.window)
     return result
 

@@ -34,7 +34,7 @@ from scipy.optimize import least_squares  # noqa: F401  unused; the benchmark tr
 from scipy.optimize import minimize
 
 from .errors import GridMismatch, NoFeasiblePoint, NotFirstOrder
-from .noise import AutocorrelationModel, NoiseRealization
+from .noise import MAX_DENSE_N, AutocorrelationModel, NoiseRealization
 from .pulses import (FIRST_ORDER_TOL, PiecewiseConstantPulse, PulseSegment,
                      _primitive_table, _segment_primitives, first_order_integrals,
                      grid_is_aligned, load_catalog)
@@ -179,8 +179,8 @@ def verify_nogo(pulse: PiecewiseConstantPulse, grid_n: int,
     operator composition carries one dt factor per intermediate sum.  The
     identity residual is dt/2 on exact arithmetic, i.e. O(dt).
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
+    if not 2 <= grid_n <= MAX_DENSE_N:
+        raise ValueError(f"grid_n must lie in [2, {MAX_DENSE_N}]")
     s_val, c_val = first_order_integrals(pulse)
     tol = FIRST_ORDER_TOL * pulse.tau_p
     if abs(s_val) > tol or abs(c_val) > tol:

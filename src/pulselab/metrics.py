@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,8 +137,3 @@ def accumulate_values(values: Sequence[float]) -> MonteCarloEstimate:
     var = math.fsum((arr - mean) ** 2) / (m - 1)
     stderr = math.sqrt(var / m)
     return MonteCarloEstimate(mean, stderr, math.sqrt(max(mean, 0.0)), m)
-
-
-def accumulate(samples: Iterable[FrobeniusSample]) -> MonteCarloEstimate:
-    """Aggregate a stream of FrobeniusSample into a MonteCarloEstimate."""
-    return accumulate_values([s.delta_f_squared for s in samples])

@@ -21,6 +21,9 @@ EXPONENTIAL = "exponential"
 #: Relative band in which negative eigenvalues are treated as round-off.
 EPS_CLIP = 1e-10
 
+#: Largest N for which an N x N float array is built (512 MB at this size).
+MAX_DENSE_N = 8192
+
 
 @dataclass(frozen=True)
 class AutocorrelationModel:
@@ -156,6 +159,9 @@ class NoiseSampler:
     """
 
     def __init__(self, model: AutocorrelationModel, grid: TimeGrid, seed: int):
+        if grid.n_steps > MAX_DENSE_N:
+            raise ValueError(f"{grid.n_steps} steps exceed the dense covariance limit "
+                             f"of {MAX_DENSE_N}")
         self.model = model
         self.grid = grid
         self.seed = int(seed)

@@ -126,11 +126,7 @@ class PiecewiseConstantPulse:
         """psi(t) = 2 int_0^t v, piecewise linear and continuous."""
         if not 0.0 <= t <= self.tau_p:
             raise OutOfRangeError(f"t={t} outside [0, {self.tau_p}]")
-        x = t / self.tau_p
-        k = min(int(np.searchsorted([s.end for s in self.segments], x)),
-                len(self.segments) - 1)
-        seg = self.segments[k]
-        return float(self.edge_angles[k] + 2.0 * seg.amplitude_taup * (x - seg.start))
+        return float(self.angles_on(np.array([t]))[0])
 
     def angles_on(self, times: np.ndarray) -> np.ndarray:
         """Vectorized psi(t) at an array of times inside [0, tau_p]."""

@@ -195,12 +195,17 @@ class TestOtherSubcommands:
          "--workers", "0"],
         # one grid point cannot resolve the kernel's sign function
         ["nogo", "--pulse", "scorpse", "--grid", "1"],
+        # dense N x N arrays above noise.MAX_DENSE_N are refused before allocation
+        ["nogo", "--pulse", "scorpse", "--grid", "60000"],
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--steps", "40000",
+         "--realizations", "100", "--pulses", "corpse"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
             "noise-validate-no-realization", "noise-validate-one-realization",
             "nogo-zero-grid", "nogo-negative-grid", "design-zero-restarts",
-            "design-negative-vmax", "scaling-zero-workers", "nogo-one-point-grid"])
+            "design-negative-vmax", "scaling-zero-workers", "nogo-one-point-grid",
+            "nogo-dense-grid-too-large", "scaling-dense-steps-too-large"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()

@@ -87,16 +87,8 @@ class TestRunScaling:
         for a, b in zip(r1.cells, r2.cells):
             assert a.estimate.mean_df2 == b.estimate.mean_df2
 
-    def test_estimator_variants_agree(self):
-        r1 = run_scaling(small_config())
-        r2 = run_scaling(small_config(estimator="mean_df"))
-        s1, e1 = r1.fits["CORPSE"].slope, r1.fits["CORPSE"].slope_err
-        s2, e2 = r2.fits["CORPSE"].slope, r2.fits["CORPSE"].slope_err
-        assert abs(s1 - s2) < 3 * math.hypot(e1, e2) + 1e-3
-
-    def test_mean_df_fit_records_excluded_points(self):
-        res = run_scaling(small_config(estimator="mean_df",
-                                       inv_v_grid=(1e-3, 3e-3, 1e-2, 3e-2, 0.1)))
+    def test_fit_records_excluded_points(self):
+        res = run_scaling(small_config(inv_v_grid=(1e-3, 3e-3, 1e-2, 3e-2, 0.1)))
         for fit in res.fits.values():
             assert fit.n_used == 4
             assert fit.excluded == ((0.1, "outside fit window"),)
@@ -137,8 +129,6 @@ class TestRunScaling:
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             small_config(inv_v_grid=(1e-2, 1e-3))
-        with pytest.raises(ValueError):
-            small_config(estimator="median")
         with pytest.raises(ValueError):
             small_config(chunk_size=0)
         with pytest.raises(ValueError):

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pulselab import (FrobeniusSample, NoiseRealization, NotUnitary,
-                      MissingTrajectory, accumulate, accumulate_values,
-                      build_time_grid, ensemble_frobenius, evolve,
-                      frobenius_from_unitary, polarization_deviation)
+from pulselab import (NoiseRealization, NotUnitary, MissingTrajectory,
+                      accumulate_values, build_time_grid, ensemble_frobenius,
+                      evolve, frobenius_from_unitary, polarization_deviation)
 from pulselab.metrics import DF2_MAX
 from pulselab.propagator import unitary_of_quaternion
 
@@ -134,11 +133,6 @@ class TestAccumulate:
         b = accumulate_values(vals[::-1].copy())
         assert a.mean_df2 == b.mean_df2
         assert a.stderr_df2 == b.stderr_df2
-
-    def test_stream_of_samples(self):
-        samples = [FrobeniusSample(v, (v, v, v)) for v in (0.1, 0.2, 0.3)]
-        est = accumulate(samples)
-        np.testing.assert_allclose(est.mean_df2, 0.2, rtol=1e-15)
 
     def test_minimum_count(self):
         with pytest.raises(ValueError):

@@ -57,21 +57,25 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="flat JSON file with option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", help="output directory (default: results)")
-        p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--catalog", help="pulse catalog JSON (default: shipped)")
+    shared = {
+        "--out": dict(help="output directory (default: results)"),
+        "--seed": dict(type=int, help="master RNG seed"),
+        "--catalog": dict(help="pulse catalog JSON (default: shipped)"),
+        "--model": dict(choices=[GAUSSIAN, EXPONENTIAL], help="autocorrelation kind"),
+        "--gamma": dict(type=float, help="correlation decay rate "
+                        f"(default {AutocorrelationModel.gamma})"),
+        "--g0": dict(type=float, help=f"noise amplitude (default {AutocorrelationModel.g0})"),
+        "--eta0": dict(type=float, help="constant noise offset "
+                       f"(default {AutocorrelationModel.eta0})"),
+    }
 
-    def add_model(p):
-        p.add_argument("--model", choices=[GAUSSIAN, EXPONENTIAL],
-                       help="autocorrelation kind")
-        p.add_argument("--gamma", type=float, help="correlation decay rate")
-        p.add_argument("--g0", type=float, help="noise amplitude (default 1)")
-        p.add_argument("--eta0", type=float, help="constant noise offset (default 0)")
+    def add_shared(p, flags):
+        """Attach the shared options a subcommand reads, and no others."""
+        for flag in flags.split():
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("scaling", help="amplitude sweep and exponent fits")
-    add_common(p)
-    add_model(p)
+    add_shared(p, "--out --seed --catalog --model --gamma --g0 --eta0")
     p.add_argument("--pulses", help="comma-separated pulse names")
     p.add_argument("--inv-v", dest="inv_v",
                    help="explicit comma-separated 1/v values (overrides the range)")
@@ -86,36 +90,33 @@ def _build_parser() -> _Parser:
     p.add_argument("--workers", type=int)
 
     p = sub.add_parser("prefactor", help="cubic-law prefactor comparison")
-    add_common(p)
-    add_model(p)
+    add_shared(p, "--out --seed --catalog --model --gamma --g0 --eta0")
     p.add_argument("--pulse", help="first-order pulse name (default corpse)")
     p.add_argument("--inv-v", dest="inv_v", help="comma-separated 1/v values")
     p.add_argument("--realizations", type=int)
     p.add_argument("--steps", type=int)
 
     p = sub.add_parser("nogo", help="kernel-operator positivity report")
-    add_common(p)
-    add_model(p)
+    add_shared(p, "--out --catalog --model --gamma --g0")
     p.add_argument("--pulse")
     p.add_argument("--grid", type=int, help="grid points (default 1024)")
 
+    # I_3/2 does not depend on eta0, and the search starts from the shipped catalog
     p = sub.add_parser("design", help="minimize the anomalous integral")
-    add_common(p)
-    add_model(p)
+    add_shared(p, "--out --seed --model --gamma --g0")
     p.add_argument("--segments", type=int, help="segment count (default 3)")
     p.add_argument("--restarts", type=int, help="random starts per segment count")
     p.add_argument("--budget", type=int, help="SLSQP iterations per start")
     p.add_argument("--vmax", type=float, help="amplitude bound in 1/tau_p units")
 
     p = sub.add_parser("noise-validate", help="sample-covariance statistics")
-    add_common(p)
-    add_model(p)
+    add_shared(p, "--out --seed --model --gamma --g0 --eta0")
     p.add_argument("--steps", type=int, help="grid points (default 16)")
     p.add_argument("--span", type=float, help="grid span in time units (default 1)")
     p.add_argument("--realizations", type=int)
 
     p = sub.add_parser("catalog-validate", help="validate a catalog file")
-    add_common(p)
+    add_shared(p, "--catalog")
     return parser
 
 
@@ -155,12 +156,8 @@ def _model_from(conf: dict) -> AutocorrelationModel:
     kind = _get(conf, "model")
     if kind is None:
         raise ConfigError("--model is required")
-    return AutocorrelationModel(
-        kind=kind,
-        g0=float(_get(conf, "g0", 1.0)),
-        gamma=float(_get(conf, "gamma", 0.0)),
-        eta0=float(_get(conf, "eta0", 0.0)),
-    )
+    return AutocorrelationModel(kind, **_given(conf, g0=("g0", float), gamma=("gamma", float),
+                                               eta0=("eta0", float)))
 
 
 def _float_list(text) -> list[float]:
@@ -309,10 +306,16 @@ def _cmd_noise_validate(conf: dict) -> int:
         raise ConfigError("need at least 2 realizations")
     grid = TimeGrid.uniform(span, n)
     sampler = build_sampler(model, grid, seed)
-    # deviations from the mean eta0, whose covariance is the target
-    block = sampler.sample_block(m, stream=(0,)) - model.eta0
-    sample_cov = (block @ block.T) / m
-    mean = block.mean(axis=1)
+    # deviations from the mean eta0, whose covariance is the target, summed
+    # over chunks of DEFAULT_CHUNK realizations (chunk c from stream (c,))
+    chunk = harness.DEFAULT_CHUNK
+    sums, products = np.zeros(n), np.zeros((n, n))
+    for c, start in enumerate(range(0, m, chunk)):
+        block = sampler.sample_block(min(chunk, m - start), stream=(c,)) - model.eta0
+        sums += block.sum(axis=1)
+        products += block @ block.T
+    sample_cov = products / m
+    mean = sums / m
     target = sampler.covariance
     se_cov = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / m)
     worst = float(np.abs((sample_cov - target) / se_cov).max())

@@ -40,6 +40,10 @@ REL_STDERR_MAX = 0.05
 #: realizations per chunk; chunk c of cell k draws from RNG stream (k, c)
 DEFAULT_CHUNK = 2**12
 
+#: a convergence check passes below this relative drift of mean DF^2 between
+#: its two finest grids
+DRIFT_TOL = 5e-3
+
 DEFAULT_FIT_WINDOWS = {
     GAUSSIAN: (1e-3, 1e-1),
     EXPONENTIAL: (1e-3, 3e-2),
@@ -181,13 +185,12 @@ class ScalingResult:
 
 
 def fit_exponent(points: Sequence[tuple[float, float, float]],
-                 window: tuple[float, float],
-                 rel_stderr_max: float = REL_STDERR_MAX) -> FitResult:
+                 window: tuple[float, float]) -> FitResult:
     """Fit log10(mean DF) vs log10(1/v) from (inv_v, mean_df2, stderr_df2) rows.
 
     The uncertainty of log10 DF follows from the delta method,
     sigma_log = stderr_df2 / (2 mean_df2 ln 10); points outside the window or
-    with relative standard error of DF above ``rel_stderr_max`` are excluded.
+    with relative standard error of DF above ``REL_STDERR_MAX`` are excluded.
     """
     lo, hi = window
     usable = []
@@ -200,8 +203,8 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
             excluded.append((inv_v, "non-positive mean"))
             continue
         rel_df = stderr_df2 / (2.0 * mean_df2)   # relative stderr of DF
-        if rel_df > rel_stderr_max:
-            excluded.append((inv_v, f"relative stderr {rel_df:.1%} > {rel_stderr_max:.0%}"))
+        if rel_df > REL_STDERR_MAX:
+            excluded.append((inv_v, f"relative stderr {rel_df:.1%} > {REL_STDERR_MAX:.0%}"))
             continue
         usable.append((inv_v, mean_df2, stderr_df2))
     if len(usable) < 3:
@@ -353,15 +356,14 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
-    passed: bool             # drift between the two finest grids < 0.5%
+    passed: bool             # drift between the two finest grids < DRIFT_TOL
     shared_draws: bool       # coarser grids subsample the finest realizations
 
 
 def run_convergence_check(pulse_name: str, model: AutocorrelationModel,
                           inv_v: float, realizations: int, base_steps: int,
                           refine_factors: Sequence[int] = (3, 3), seed: int = 0,
-                          catalog: Optional[PulseCatalog] = None,
-                          drift_tol: float = 5e-3) -> ConvergenceReport:
+                          catalog: Optional[PulseCatalog] = None) -> ConvergenceReport:
     """Repeat one cell across grid refinements and report the mean-DF^2 drift.
 
     With odd refinement factors every coarse midpoint is also a midpoint of
@@ -398,5 +400,5 @@ def run_convergence_check(pulse_name: str, model: AutocorrelationModel,
                        abs(est.mean_df2 - finest_mean) / finest_mean)
         for grid, est in zip(grids, means)
     )
-    passed = rows[-2].drift_vs_finest < drift_tol if len(rows) >= 2 else True
+    passed = rows[-2].drift_vs_finest < DRIFT_TOL if len(rows) >= 2 else True
     return ConvergenceReport(rows, passed, shared)

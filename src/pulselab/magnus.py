@@ -15,7 +15,7 @@ F(x) = int_0^x e^{i psi},
 
 which is manifestly positive once S = C = 0 (F(1) = 0), since B annihilates
 no nonzero function.  K, the first moments and the ordered sine integral are
-short sums over the closed-form segment primitives of ``pulses``.
+tau_p scalings of one pass over the segment table of ``pulses``.
 verify_nogo checks the operator identity on a discretized grid; minimize_i32
 searches for the attainable minimum of the exact K with SLSQP, nested over
 the segment count.
@@ -36,7 +36,7 @@ from scipy.optimize import minimize
 from .errors import GridMismatch, NoFeasiblePoint, NotFirstOrder
 from .noise import MAX_DENSE_N, AutocorrelationModel, NoiseRealization
 from .pulses import (FIRST_ORDER_TOL, PiecewiseConstantPulse, PulseSegment,
-                     _primitive_table, _segment_primitives, first_order_integrals,
+                     _primitive_table, _shape_sums, first_order_integrals,
                      grid_is_aligned, load_catalog)
 
 FEASIBILITY_TOL = 1e-8
@@ -92,10 +92,8 @@ def first_order_terms(pulse: PiecewiseConstantPulse,
 def first_moment_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:
     """(int t sin psi dt, int t cos psi dt); vanish for the time-dependent
     second-order condition set, but not for every advertised-order-2 shape."""
-    total = 0j  # int x e^{i psi} = sum over segments of x1 dF - G
-    for seg, (d_f, g, _, _) in zip(pulse.segments, _segment_primitives(pulse)):
-        total += seg.end * d_f - g
-    return total.imag * pulse.tau_p**2, total.real * pulse.tau_p**2
+    moment = _shape_sums(pulse.segments)[2]
+    return moment.imag * pulse.tau_p**2, moment.real * pulse.tau_p**2
 
 
 def ordered_sine_integral(pulse: PiecewiseConstantPulse) -> float:
@@ -104,12 +102,7 @@ def ordered_sine_integral(pulse: PiecewiseConstantPulse) -> float:
     This is the static-noise coefficient of the second Magnus term; it
     vanishes for second-order shapes but not for first-order ones.
     """
-    f0 = 0j     # F at the segment start
-    total = 0j  # int e^{i psi(x1)} conj(F(x1)) dx1
-    for d_f, _, _, w in _segment_primitives(pulse):
-        total += f0.conjugate() * d_f + w
-        f0 += d_f
-    return total.imag * pulse.tau_p**2
+    return _shape_sums(pulse.segments)[3] * pulse.tau_p**2
 
 
 # -- anomalous integrals -------------------------------------------------------
@@ -125,22 +118,10 @@ def evaluate_i1(pulse: PiecewiseConstantPulse, g0: float = 1.0) -> float:
 def _i32_shape_kernel(segments: tuple[PulseSegment, ...]) -> float:
     """K = -int int |x1-x2| cos[psi(x1)-psi(x2)] over the unit square.
 
-    Closed form 1/2 int_0^1 |2F - F(1)|^2 - 1/2 |F(1)|^2, summed per segment:
-    with c = 2 F0 - F(1), a segment adds |c|^2 dx + 4 Re(conj(c) G) + 4 Q to
-    the integral.  I_3/2 of a concrete pulse is a * K * tau_p^3.
+    Closed form 1/2 int_0^1 |2F - F(1)|^2 - 1/2 |F(1)|^2, summed per segment
+    by ``pulses._shape_sums``.  I_3/2 of a concrete pulse is a * K * tau_p^3.
     """
-    table = _segment_primitives(PiecewiseConstantPulse("shape", 1.0, segments))
-    f1 = 0j
-    for d_f, _, _, _ in table:
-        f1 += d_f
-    f0 = 0j
-    acc = 0.0
-    for seg, (d_f, g, q, _) in zip(segments, table):
-        c = 2.0 * f0 - f1
-        acc += ((c.real**2 + c.imag**2) * (seg.end - seg.start)
-                + 4.0 * ((c.conjugate() * g).real + q))
-        f0 += d_f
-    return 0.5 * acc - 0.5 * (f1.real**2 + f1.imag**2)
+    return _shape_sums(segments)[4]
 
 
 def evaluate_i32(pulse: PiecewiseConstantPulse, model: AutocorrelationModel) -> float:
@@ -252,12 +233,6 @@ def _pulse_from_params(theta: np.ndarray, name: str = "designed") -> PiecewiseCo
     return PiecewiseConstantPulse(name, 1.0, segs, order=1)
 
 
-def _constraints_frac(pulse: PiecewiseConstantPulse) -> np.ndarray:
-    """(total angle - pi, S, C) in fraction units, closed form."""
-    s_val, c_val = first_order_integrals(pulse)
-    return np.array([pulse.total_angle - math.pi, s_val, c_val])
-
-
 def minimize_i32(n_segments: int, model: AutocorrelationModel,
                  budget: int = 15000, restarts: int = 10, seed: int = 0,
                  v_max_taup: float = DEFAULT_V_MAX_TAUP):
@@ -297,9 +272,9 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
     @lru_cache(maxsize=64)  # SLSQP asks for K and the constraints at the same points
     def evaluate(key: bytes) -> tuple[float, np.ndarray]:
         theta = np.frombuffer(key)
-        pulse = _pulse_from_params(theta)
-        return (_i32_shape_kernel.__wrapped__(pulse.segments),  # uncached: the memo is the cache
-                np.append(_constraints_frac(pulse), theta[: theta.size // 2].sum() - 1.0))
+        angle, f1, _, _, k_val = _shape_sums(_pulse_from_params(theta).segments)
+        return k_val, np.array([angle - math.pi, f1.imag, f1.real,
+                                theta[: theta.size // 2].sum() - 1.0])
 
     def kernel(theta):
         return evaluate(theta.tobytes())[0]

@@ -51,7 +51,7 @@ class FrobeniusSample:
 class MonteCarloEstimate:
     mean_df2: float
     stderr_df2: float
-    mean_df: float
+    mean_df: float   # sqrt(mean_df2), not the mean of DF
     realizations: int
 
 

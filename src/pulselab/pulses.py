@@ -7,10 +7,11 @@ tau_p = (v tau_p product) / v.  The rotation angle
     psi(t) = 2 * integral_0^t v(t') dt'
 
 is piecewise linear, so F(x) = int_0^x e^{i psi} is "constant + c e^{i b x}" on
-each segment.  Every segment integral of the package (S and C here, the
-moments, the ordered sine integral, the anomalous kernel and the per-step
-first-order Magnus integrals in ``magnus``) is a short sum over one table of
-closed-form primitives of F, built per segment or per grid step.
+each segment.  Every segment integral of the package is a short sum over one
+table of closed-form primitives of F.  Built on a shape's segments, one pass
+over it gives S and C here and the moments, the ordered sine integral and
+the anomalous kernel in ``magnus`` (``_shape_sums``); built on a grid's
+steps, it gives the first-order Magnus integrals of ``magnus``.
 """
 
 from __future__ import annotations
@@ -171,13 +172,33 @@ def _primitive_table(widths: list[float], slopes: list[float], angles: list[floa
     return table
 
 
-def _segment_primitives(pulse: PiecewiseConstantPulse
-                        ) -> list[tuple[complex, complex, float, complex]]:
-    """The primitive table of the pulse's segments, in fraction units, so
-    F = F0 + g on each segment."""
-    return _primitive_table([s.end - s.start for s in pulse.segments],
-                            [2.0 * s.amplitude_taup for s in pulse.segments],
-                            pulse.edge_angles.tolist())
+def _shape_sums(segments: tuple[PulseSegment, ...]
+                ) -> tuple[float, complex, complex, float, float]:
+    """psi(1), F(1), int_0^1 x e^{i psi} dx, D and K of a shape, in fraction units.
+
+    One primitive table over the segments (edge angles from the same cumsum
+    as ``edge_angles``, so F = F0 + g on each segment) and one pass over it:
+    the first moment adds x1 dF - G per segment, the ordered sine integral
+    D = Im int_0^1 e^{i psi} conj(F) adds conj(F0) dF + W, and the kernel K
+    of ``magnus`` adds |c|^2 dx + 4 Re(conj(c) G) + 4 Q with c = 2 F0 - F(1).
+    """
+    widths = [s.end - s.start for s in segments]
+    slopes = [2.0 * s.amplitude_taup for s in segments]
+    angles = np.concatenate([[0.0], np.cumsum([b * dx for b, dx in zip(slopes, widths)])])
+    table = _primitive_table(widths, slopes, angles.tolist())
+    f1 = 0j
+    for d_f, _, _, _ in table:
+        f1 += d_f
+    f0 = moment = ordered = 0j
+    acc = 0.0
+    for seg, dx, (d_f, g, q, w) in zip(segments, widths, table):
+        c = 2.0 * f0 - f1
+        acc += (c.real**2 + c.imag**2) * dx + 4.0 * ((c.conjugate() * g).real + q)
+        moment += seg.end * d_f - g
+        ordered += f0.conjugate() * d_f + w
+        f0 += d_f
+    kernel = 0.5 * acc - 0.5 * (f1.real**2 + f1.imag**2)
+    return float(angles[-1]), f1, moment, ordered.imag, kernel
 
 
 def first_order_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:
@@ -186,10 +207,8 @@ def first_order_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:
     Both vanish for first-order pulses; a rectangular pi-pulse gives
     (2 tau_p / pi, 0).
     """
-    total = 0j
-    for d_f, _, _, _ in _segment_primitives(pulse):
-        total += d_f
-    return total.imag * pulse.tau_p, total.real * pulse.tau_p
+    f1 = _shape_sums(pulse.segments)[1]
+    return f1.imag * pulse.tau_p, f1.real * pulse.tau_p
 
 
 # -- catalog ----------------------------------------------------------------

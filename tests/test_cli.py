@@ -171,6 +171,16 @@ class TestOtherSubcommands:
         payload = json.loads((tmp_path / "noise_validate.json").read_text())
         assert payload["max_cov_sigma"] < 5.0 and payload["max_mean_sigma"] < 5.0
 
+    def test_noise_validate_sums_over_chunks(self, tmp_path):
+        # 9000 realizations span three chunks of harness.DEFAULT_CHUNK
+        code = run(["noise-validate", "--model", "gaussian", "--gamma", "0.5",
+                    "--steps", "8", "--realizations", "9000",
+                    "--seed", "2", "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "noise_validate.json").read_text())
+        assert payload["realizations"] == 9000
+        assert payload["max_cov_sigma"] < 5.0 and payload["max_mean_sigma"] < 5.0
+
     @pytest.mark.parametrize("args", [
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
          "--realizations", "1"],
@@ -214,3 +224,35 @@ class TestOtherSubcommands:
     def test_usage_error_exit_code(self):
         assert run(["frobnicate"]) == 1
         assert run([]) == 1
+
+
+# Options a subcommand would not read: (subcommand args, option, value).  Both
+# tests fail before the subcommand runs, so nothing is written.
+UNREAD_OPTIONS = [
+    (["nogo", "--pulse", "scorpse", "--grid", "64"], "seed", "3"),
+    (["nogo", "--pulse", "scorpse", "--grid", "64"], "eta0", "0.5"),
+    (["design", "--model", "exponential", "--gamma", "0.01", "--budget", "20",
+      "--restarts", "1"], "catalog", "/nonexistent.json"),
+    (["design", "--model", "exponential", "--gamma", "0.01", "--budget", "20",
+      "--restarts", "1"], "eta0", "5"),
+    (["noise-validate", "--model", "gaussian", "--gamma", "0.5",
+      "--realizations", "100"], "catalog", "/nonexistent.json"),
+    (["catalog-validate"], "out", "somewhere"),
+    (["catalog-validate"], "seed", "3"),
+]
+UNREAD_IDS = [f"{args[0]}-{key}" for args, key, _ in UNREAD_OPTIONS]
+
+
+class TestOnlyReadOptions:
+    @pytest.mark.parametrize("args, key, value", UNREAD_OPTIONS, ids=UNREAD_IDS)
+    def test_unread_flag_is_usage_error(self, capsys, args, key, value):
+        assert run(args + [f"--{key}", value]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, key, value", UNREAD_OPTIONS, ids=UNREAD_IDS)
+    def test_unread_config_key_is_config_error(self, tmp_path, capsys, args, key, value):
+        cpath = tmp_path / "run.json"
+        cpath.write_text(json.dumps({key: value}))
+        assert run(["--config", str(cpath)] + args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: config: unknown key {key!r} for {args[0]}"]

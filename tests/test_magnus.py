@@ -15,6 +15,7 @@ from pulselab import (AutocorrelationModel, NoFeasiblePoint,
                       first_moment_integrals, first_order_integrals,
                       first_order_terms, load_catalog, minimize_i32,
                       ordered_sine_integral, verify_nogo)
+from pulselab import magnus, pulses
 from pulselab.magnus import MIN_GAP, _i32_shape_kernel
 from pulselab.pulses import PiecewiseConstantPulse, PulseSegment
 
@@ -360,6 +361,19 @@ class TestMinimizeI32:
         s_val, c_val = first_order_integrals(pulse)
         assert abs(s_val) < 1e-8 and abs(c_val) < 1e-8
         assert val > 0.0
+
+    def test_one_segment_table_per_evaluated_point(self, monkeypatch):
+        calls = {"_primitive_table": 0, "_pulse_from_params": 0}
+        for module, name in ((pulses, "_primitive_table"), (magnus, "_pulse_from_params")):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        minimize_i32(3, EXP_MODEL, budget=30, restarts=1)
+        # every evaluated point builds its pulse once and its table once; the
+        # last _pulse_from_params call builds the returned pulse
+        points = calls["_pulse_from_params"] - 1
+        assert points > 0 and calls["_primitive_table"] == points
 
     def test_infeasible_amplitude_budget(self):
         # |amplitude| <= 0.5 cannot reach a pi rotation at tau_p = 1

@@ -2,10 +2,12 @@
 
 Results are rendered against the inverse peak amplitude 1/v (for a fixed
 shape tau_p is proportional to 1/v), with g0 = 1 fixing the energy scale.
-One covariance eigendecomposition is built per (pulse, 1/v) cell and shared
-by all realizations; realizations are drawn in fixed-size chunks whose RNG
-streams derive from (seed, cell, chunk), so results are bit-reproducible
-for a given configuration regardless of worker count or scheduling.
+One noise sampler is built per (pulse, 1/v) cell and shared by all
+realizations: the exponential model's Markov recursion coefficients, or the
+Gaussian model's covariance eigendecomposition.  Realizations are drawn in
+fixed-size chunks whose RNG streams derive from (seed, cell, chunk), so
+results are bit-reproducible for a given configuration regardless of worker
+count or scheduling.
 
 One cell runner, `_run_cell`, draws, evolves, reduces and accumulates every
 Monte-Carlo cell: the amplitude sweep, the prefactor check and both branches

@@ -219,18 +219,22 @@ def _params_of(pulse: PiecewiseConstantPulse) -> np.ndarray:
                     + [s.amplitude_taup for s in pulse.segments])
 
 
-def _pulse_from_params(theta: np.ndarray, name: str = "designed") -> PiecewiseConstantPulse:
-    """The tau_p = 1 pulse of theta = (n widths, n amplitudes).
+def _segments_from_params(theta: np.ndarray) -> tuple[PulseSegment, ...]:
+    """The segments of theta = (n widths, n amplitudes), in fractions of tau_p.
 
     The edges are the cumulative sums of w / sum(w), so any positive widths
-    give a valid pulse, whether or not they add up to 1.
+    tile [0, 1], whether or not they add up to 1.
     """
     n = theta.size // 2
     edges = np.concatenate([[0.0], np.cumsum(theta[:n]) / theta[:n].sum()])
     edges[-1] = 1.0
-    segs = tuple(PulseSegment(float(edges[k]), float(edges[k + 1]), float(theta[n + k]))
+    return tuple(PulseSegment(float(edges[k]), float(edges[k + 1]), float(theta[n + k]))
                  for k in range(n))
-    return PiecewiseConstantPulse(name, 1.0, segs, order=1)
+
+
+def _pulse_from_params(theta: np.ndarray, name: str = "designed") -> PiecewiseConstantPulse:
+    """The tau_p = 1 pulse of theta = (n widths, n amplitudes)."""
+    return PiecewiseConstantPulse(name, 1.0, _segments_from_params(theta), order=1)
 
 
 def minimize_i32(n_segments: int, model: AutocorrelationModel,
@@ -272,7 +276,7 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
     @lru_cache(maxsize=64)  # SLSQP asks for K and the constraints at the same points
     def evaluate(key: bytes) -> tuple[float, np.ndarray]:
         theta = np.frombuffer(key)
-        angle, f1, _, _, k_val = _shape_sums(_pulse_from_params(theta).segments)
+        angle, f1, _, _, k_val = _shape_sums(_segments_from_params(theta))
         return k_val, np.array([angle - math.pi, f1.imag, f1.real,
                                 theta[: theta.size // 2].sum() - 1.0])
 

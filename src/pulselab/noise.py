@@ -1,15 +1,22 @@
 """Correlated Gaussian dephasing noise on a time grid.
 
 The noise field eta(t) is a stationary Gaussian process defined by its
-autocorrelation g(t) = mean[eta(t')eta(t'+t)].  Discretized realizations are
-drawn by eigendecomposition of the covariance matrix G_ij = g(t_i - t_j)
-evaluated at step midpoints: with G = O D O^T, the transform O sqrt(D)
-maps i.i.d. standard normals onto the correlated samples.
+autocorrelation g(t) = mean[eta(t')eta(t'+t)].  Discretized realizations
+live at step midpoints, with covariance G_ij = g(t_i - t_j), and are a
+linear transform L of i.i.d. standard normals with L L^T = G:
+
+* exponential model: the process is Markov (Ornstein-Uhlenbeck), so on any
+  grid eta_i = a_i eta_{i-1} + g0 sqrt(1 - a_i^2) xi_i with
+  a_i = exp(-gamma (t_i - t_{i-1})) samples G exactly (Gillespie,
+  Phys. Rev. E 54, 2084, 1996).  L is G's Cholesky factor, applied as an
+  O(N) recursion per realization; no N x N array is formed to draw.
+* Gaussian model: G = O D O^T by eigendecomposition and L = O sqrt(D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,8 +159,12 @@ class NoiseRealization:
 class NoiseSampler:
     """Draws correlated Gaussian noise realizations on a fixed grid.
 
-    The eigendecomposition is computed once at construction and shared by
-    every draw, and the sampler is immutable.  Every draw goes through
+    The transform is prepared once at construction and shared by every draw,
+    and the sampler is immutable.  For the exponential model it is the
+    Markov recursion's per-step coefficients (O(N) memory); for the Gaussian
+    model it is the eigendecomposition's O sqrt(D).  ``covariance`` and
+    ``transform`` are readable for both kinds; for the exponential kind they
+    are formed only when read.  Every draw goes through
     ``sample_block(..., stream=(k, ...))``, which derives a counter-based
     generator from (seed, stream) and is therefore insensitive to scheduling.
     """
@@ -166,11 +177,17 @@ class NoiseSampler:
         self.grid = grid
         self.seed = int(seed)
 
-        mids = grid.midpoints
-        gap = mids[:, None] - mids[None, :]
-        cov = model.evaluate(gap)
-        # evaluate() is even in the gap, so cov is symmetric entry-for-entry
-        eigvals, eigvecs = np.linalg.eigh(cov)
+        if model.kind == EXPONENTIAL:
+            # eta_i = decay_i eta_{i-1} + kick_i z_i; expm1 keeps the kick
+            # accurate where gamma * gap << 1 and 1 - a^2 would cancel
+            gap = np.diff(grid.midpoints)
+            self._decay = np.exp(-model.gamma * gap)
+            self._kick = model.g0 * np.concatenate(
+                ([1.0], np.sqrt(-np.expm1(-2.0 * model.gamma * gap))))
+            return
+        # evaluate() is even in the gap, so the covariance is symmetric
+        # entry-for-entry
+        eigvals, eigvecs = np.linalg.eigh(self.covariance)
         lam_max = float(eigvals[-1])
         floor = -EPS_CLIP * lam_max
         if np.any(eigvals < floor):
@@ -180,8 +197,25 @@ class NoiseSampler:
                 "covariance matrix is not numerically positive semidefinite"
             )
         eigvals = np.clip(eigvals, 0.0, None)
-        self.covariance = cov
         self.transform = eigvecs * np.sqrt(eigvals)[None, :]
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """G_ij = g(t_i - t_j) at the step midpoints."""
+        mids = self.grid.midpoints
+        return self.model.evaluate(mids[:, None] - mids[None, :])
+
+    @cached_property
+    def transform(self) -> np.ndarray:
+        """L with L L^T = G (exponential kind: the recursion applied to I)."""
+        return self._markov(np.eye(self.grid.n_steps))
+
+    def _markov(self, z: np.ndarray) -> np.ndarray:
+        """L z for the exponential kind, in place, one row per step."""
+        z *= self._kick[:, None]
+        for i, a in enumerate(self._decay, start=1):
+            z[i] += a * z[i - 1]
+        return z
 
     def _generator(self, *stream: int) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(stream))
@@ -195,9 +229,12 @@ class NoiseSampler:
         """
         rng = self._generator(*stream)
         z = rng.standard_normal((self.grid.n_steps, count))
-        return self.transform @ z + self.model.eta0
+        eta = self._markov(z) if self.model.kind == EXPONENTIAL else self.transform @ z
+        eta += self.model.eta0
+        return eta
 
 
 def build_sampler(model: AutocorrelationModel, grid: TimeGrid, seed: int) -> NoiseSampler:
-    """Construct a sampler (forms G, eigendecomposes, stores O sqrt(D))."""
+    """Construct a sampler: the Markov coefficients for the exponential
+    model, eigh of G and O sqrt(D) for the Gaussian model."""
     return NoiseSampler(model, grid, seed)

@@ -171,6 +171,15 @@ class TestOtherSubcommands:
         payload = json.loads((tmp_path / "noise_validate.json").read_text())
         assert payload["max_cov_sigma"] < 5.0 and payload["max_mean_sigma"] < 5.0
 
+    def test_noise_validate_exponential_recursion(self, tmp_path):
+        # the exponential model draws by the Markov recursion, not by eigh
+        code = run(["noise-validate", "--model", "exponential", "--gamma", "1.0",
+                    "--steps", "64", "--realizations", "20000", "--eta0", "0.5",
+                    "--seed", "2", "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "noise_validate.json").read_text())
+        assert payload["max_cov_sigma"] < 5.0 and payload["max_mean_sigma"] < 5.0
+
     def test_noise_validate_sums_over_chunks(self, tmp_path):
         # 9000 realizations span three chunks of harness.DEFAULT_CHUNK
         code = run(["noise-validate", "--model", "gaussian", "--gamma", "0.5",

@@ -86,6 +86,8 @@ class TestRunScaling:
         r2 = run_scaling(small_config(workers=2))
         for a, b in zip(r1.cells, r2.cells):
             assert a.estimate.mean_df2 == b.estimate.mean_df2
+        # every column of every exponential cell, not only mean DF^2
+        assert r1.csv_text() == r2.csv_text()
 
     def test_fit_records_excluded_points(self):
         res = run_scaling(small_config(inv_v_grid=(1e-3, 3e-3, 1e-2, 3e-2, 0.1)))

@@ -363,17 +363,20 @@ class TestMinimizeI32:
         assert val > 0.0
 
     def test_one_segment_table_per_evaluated_point(self, monkeypatch):
-        calls = {"_primitive_table": 0, "_pulse_from_params": 0}
-        for module, name in ((pulses, "_primitive_table"), (magnus, "_pulse_from_params")):
+        calls = {"_primitive_table": 0, "_segments_from_params": 0, "_pulse_from_params": 0}
+        for module, name in ((pulses, "_primitive_table"), (magnus, "_segments_from_params"),
+                             (magnus, "_pulse_from_params")):
             def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
         minimize_i32(3, EXP_MODEL, budget=30, restarts=1)
-        # every evaluated point builds its pulse once and its table once; the
-        # last _pulse_from_params call builds the returned pulse
-        points = calls["_pulse_from_params"] - 1
+        # every evaluated point builds its segments once and its table once,
+        # and no pulse; the one pulse is the returned design, whose segments
+        # are the last _segments_from_params call
+        points = calls["_segments_from_params"] - 1
         assert points > 0 and calls["_primitive_table"] == points
+        assert calls["_pulse_from_params"] == 1
 
     def test_infeasible_amplitude_budget(self):
         # |amplitude| <= 0.5 cannot reach a pi rotation at tau_p = 1

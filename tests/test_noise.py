@@ -1,6 +1,7 @@
 """Tests for autocorrelation models and correlated noise synthesis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulselab import (AutocorrelationModel, EigenvalueTooNegative,
-                      NoiseRealization, TimeGrid, build_sampler, noise)
+                      NoiseRealization, TimeGrid, build_sampler, build_time_grid,
+                      load_catalog, noise)
 
 
 class TestAutocorrelationModel:
@@ -137,6 +139,53 @@ class TestSamplerConstruction:
         grid = TimeGrid.uniform(1.0, 64)
         with pytest.raises(EigenvalueTooNegative):
             build_sampler(model, grid, seed=0)
+
+
+class TestMarkovSampler:
+    """The exponential model is drawn by its exact Markov recursion."""
+
+    @pytest.mark.parametrize("gamma", [0.01, 1.3])
+    def test_factor_reproduces_covariance_on_uneven_grid(self, gamma):
+        g0 = 1.3
+        grid = build_time_grid(load_catalog()["SCORPSE"], 512)
+        gaps = np.diff(grid.midpoints)
+        assert gaps.max() - gaps.min() > 1e-3 * gaps.max()
+        sampler = build_sampler(AutocorrelationModel("exponential", g0=g0, gamma=gamma),
+                                grid, seed=0)
+        factor = sampler.transform
+        # lower triangular with a positive diagonal: G's Cholesky factor
+        assert np.array_equal(factor, np.tril(factor))
+        assert np.all(np.diag(factor) > 0.0)
+        assert np.abs(factor @ factor.T - sampler.covariance).max() <= 1e-12 * g0**2
+
+    def test_block_is_transform_times_normals(self):
+        model = AutocorrelationModel("exponential", g0=1.3, gamma=0.7, eta0=0.5)
+        grid = build_time_grid(load_catalog()["CORPSE"], 96)
+        sampler = build_sampler(model, grid, seed=11)
+        stream = (3, 1)
+        z = sampler._generator(*stream).standard_normal((grid.n_steps, 200))
+        block = sampler.sample_block(200, stream=stream)
+        assert np.abs(block - (sampler.transform @ z + model.eta0)).max() <= 1e-12
+
+    def test_gamma_zero_gives_constant_paths(self):
+        # the covariance g0^2 on every entry has rank one: each path is flat
+        model = AutocorrelationModel("exponential", g0=1.5, gamma=0.0)
+        sampler = build_sampler(model, TimeGrid(np.array([0.0, 0.1, 0.5, 2.0, 2.2])), seed=3)
+        block = sampler.sample_block(50, stream=(0,))
+        assert np.array_equal(block, np.broadcast_to(block[0], block.shape))
+        assert np.unique(block[0]).size == 50
+
+    def test_construction_is_linear_in_steps(self):
+        # no N x N array: 512 MB at this size for the covariance alone
+        grid = TimeGrid.uniform(1.0, noise.MAX_DENSE_N)
+        model = AutocorrelationModel("exponential", g0=1.0, gamma=0.3)
+        tracemalloc.start()
+        try:
+            build_sampler(model, grid, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestSampling:

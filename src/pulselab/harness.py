@@ -65,8 +65,8 @@ class ScalingExperimentConfig:
 
     def __post_init__(self):
         iv = tuple(float(v) for v in self.inv_v_grid)
-        if any(v <= 0 for v in iv) or any(b <= a for a, b in zip(iv, iv[1:])):
-            raise ValueError("inv_v_grid must be positive and strictly increasing")
+        if not all(0 < v < math.inf for v in iv) or any(b <= a for a, b in zip(iv, iv[1:])):
+            raise ValueError("inv_v_grid must be positive, finite and strictly increasing")
         object.__setattr__(self, "inv_v_grid", iv)
         object.__setattr__(self, "pulses", tuple(p.upper() for p in self.pulses))
         if self.realizations < 2:

@@ -16,9 +16,9 @@ F(x) = int_0^x e^{i psi},
 which is manifestly positive once S = C = 0 (F(1) = 0), since B annihilates
 no nonzero function.  K, the first moments and the ordered sine integral are
 tau_p scalings of one pass over the segment table of ``pulses``.
-verify_nogo checks the operator identity on a discretized grid; minimize_i32
-searches for the attainable minimum of the exact K with SLSQP, nested over
-the segment count.
+verify_nogo checks the operator identity on a discretized grid, applying A
+and B as ordered (prefix) sums in O(N) memory; minimize_i32 searches for the
+attainable minimum of the exact K with SLSQP, nested over the segment count.
 """
 
 from __future__ import annotations
@@ -136,6 +136,11 @@ def evaluate_i32(pulse: PiecewiseConstantPulse, model: AutocorrelationModel) -> 
     return a * _i32_shape_kernel(pulse.segments) * pulse.tau_p**3
 
 
+def _ordered_sums(f: np.ndarray) -> np.ndarray:
+    """sums[i] = sum_{j<i} f_j: the ordered sum t_j < t_i on an increasing grid."""
+    return np.concatenate([[0.0], np.cumsum(f)[:-1]])
+
+
 def evaluate_mu2x(pulse: PiecewiseConstantPulse, noise: NoiseRealization) -> float:
     """Midpoint double Riemann sum of eta(t1) eta(t2) sin[psi(t1)-psi(t2)]
     over t2 < t1, evaluated in O(N) with prefix sums."""
@@ -145,7 +150,7 @@ def evaluate_mu2x(pulse: PiecewiseConstantPulse, noise: NoiseRealization) -> flo
     psi = pulse.angles_on(grid.midpoints)
     weights = noise.values * grid.widths
     phase = np.exp(1j * psi)
-    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(weights * phase.conj())[:-1]])
+    prefix = _ordered_sums(weights * phase.conj())
     return float(np.imag(np.sum(weights * phase * prefix)))
 
 
@@ -156,9 +161,9 @@ def verify_nogo(pulse: PiecewiseConstantPulse, grid_n: int,
                 model: Optional[AutocorrelationModel] = None) -> NoGoReport:
     """Discretize the kernel operators and check the positivity argument.
 
-    Uses kernel-unit matrices (A_ij = |t_i - t_j|, B_ij = sgn(t_i - t_j));
-    operator composition carries one dt factor per intermediate sum.  The
-    identity residual is dt/2 on exact arithmetic, i.e. O(dt).
+    The kernels A_ij = |t_i - t_j| and B_ij = sgn(t_i - t_j) act by ordered
+    sums, one dt factor each, with no N x N array: A f = t B f - B(t f) and
+    B f = 2 sum_{j<i} f_j + f - sum f.  The identity residual is dt/2, O(dt).
     """
     if not 2 <= grid_n <= MAX_DENSE_N:
         raise ValueError(f"grid_n must lie in [2, {MAX_DENSE_N}]")
@@ -172,24 +177,19 @@ def verify_nogo(pulse: PiecewiseConstantPulse, grid_n: int,
     tau = pulse.tau_p
     dt = tau / grid_n
     mids = (np.arange(grid_n) + 0.5) * dt
-    psi = pulse.angles_on(mids)
-    cosv = np.cos(psi)
-    sinv = np.sin(psi)
+    phase = np.exp(1j * pulse.angles_on(mids))   # cos psi + i sin psi
 
-    gap = mids[:, None] - mids[None, :]
-    a_kernel = np.abs(gap)
-    b_kernel = np.sign(gap)
+    def b_op(f):
+        return 2.0 * _ordered_sums(f) + f - f.sum()
 
-    b_cos = (b_kernel @ cosv) * dt
-    b_sin = (b_kernel @ sinv) * dt
-    b_norm_cos = float(b_cos @ b_cos) * dt
-    b_norm_sin = float(b_sin @ b_sin) * dt
-
-    quad_a_cos = float(cosv @ (a_kernel @ cosv)) * dt * dt
-    quad_a_sin = float(sinv @ (a_kernel @ sinv)) * dt * dt
-
-    btb = (b_kernel.T @ b_kernel) * dt   # discretized B^dag B in kernel units
-    residual = np.abs(a_kernel - 0.5 * (tau - btb)).max()
+    b_phase = b_op(phase) * dt
+    a_phase = mids * b_op(phase) - b_op(mids * phase)   # A f = t B f - B(t f)
+    b_norm_cos = float(b_phase.real @ b_phase.real) * dt
+    b_norm_sin = float(b_phase.imag @ b_phase.imag) * dt
+    quad_a_cos = float(phase.real @ a_phase.real) * dt * dt
+    quad_a_sin = float(phase.imag @ a_phase.imag) * dt * dt
+    residual = max(np.abs(np.abs(mids - t) - 0.5 * (tau + b_op(np.sign(mids - t)) * dt)).max()
+                   for t in mids)   # row i of B^dag B is -B(B e_i), B e_i = sgn(t - t_i)
 
     i32_kernel = 0.5 * (b_norm_cos + b_norm_sin)
     return NoGoReport(
@@ -270,8 +270,10 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
         raise ValueError("I_3/2 vanishes identically for analytic models")
     if restarts < 1:
         raise ValueError("need at least 1 restart")
-    if v_max_taup <= 0.0:
-        raise ValueError("v_max_taup must be positive")
+    if budget < 1:
+        raise ValueError("need a budget of at least 1 iteration")
+    if not 0.0 < v_max_taup < math.inf:
+        raise ValueError("v_max_taup must be positive and finite")
 
     @lru_cache(maxsize=64)  # SLSQP asks for K and the constraints at the same points
     def evaluate(key: bytes) -> tuple[float, np.ndarray]:

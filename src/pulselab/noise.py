@@ -28,7 +28,9 @@ EXPONENTIAL = "exponential"
 #: Relative band in which negative eigenvalues are treated as round-off.
 EPS_CLIP = 1e-10
 
-#: Largest N for which an N x N float array is built (512 MB at this size).
+#: Largest grid N accepted where cost grows like N^2: the Gaussian sampler's
+#: N x N arrays (512 MB each at this size), the N x chunk noise block and
+#: verify_nogo's O(N^2)-time identity residual.
 MAX_DENSE_N = 8192
 
 
@@ -55,10 +57,12 @@ class AutocorrelationModel:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, EXPONENTIAL):
             raise ValueError(f"unknown autocorrelation kind: {self.kind!r}")
-        if self.g0 <= 0.0:
-            raise ValueError("g0 must be positive (g(0) = g0^2 > 0)")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be non-negative")
+        if not 0.0 < self.g0 < np.inf:
+            raise ValueError("g0 must be positive and finite (g(0) = g0^2 > 0)")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be non-negative and finite")
+        if not np.isfinite(self.eta0):
+            raise ValueError("eta0 must be finite")
 
     def evaluate(self, t):
         """g(t); accepts scalars or arrays and is even in t by construction."""

@@ -64,8 +64,8 @@ class PiecewiseConstantPulse:
     order: int = 0
 
     def __post_init__(self):
-        if self.tau_p <= 0.0:
-            raise ValueError("tau_p must be positive")
+        if not 0.0 < self.tau_p < math.inf:
+            raise ValueError("tau_p must be positive and finite")
         if not self.segments:
             raise ValueError("pulse needs at least one segment")
         prev = 0.0

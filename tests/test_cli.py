@@ -214,17 +214,31 @@ class TestOtherSubcommands:
          "--workers", "0"],
         # one grid point cannot resolve the kernel's sign function
         ["nogo", "--pulse", "scorpse", "--grid", "1"],
-        # dense N x N arrays above noise.MAX_DENSE_N are refused before allocation
+        # grids above noise.MAX_DENSE_N are refused before anything is built:
+        # nogo's residual takes O(N^2) time, the sampler's arrays O(N^2) memory
         ["nogo", "--pulse", "scorpse", "--grid", "60000"],
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--steps", "40000",
          "--realizations", "100", "--pulses", "corpse"],
+        ["design", "--model", "exponential", "--gamma", "0.01", "--vmax", "nan"],
+        ["design", "--model", "exponential", "--gamma", "0.01", "--vmax", "inf"],
+        ["design", "--model", "exponential", "--gamma", "0.01", "--budget", "-1"],
+        # non-finite parameters are refused by the value types
+        ["nogo", "--pulse", "scorpse", "--model", "exponential", "--gamma", "nan"],
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+         "--inv-v", "nan,1e-2,2e-2"],
+        ["prefactor", "--model", "exponential", "--gamma", "0.01", "--pulse", "corpse",
+         "--inv-v", "nan"],
+        ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--g0", "nan"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
             "noise-validate-no-realization", "noise-validate-one-realization",
             "nogo-zero-grid", "nogo-negative-grid", "design-zero-restarts",
             "design-negative-vmax", "scaling-zero-workers", "nogo-one-point-grid",
-            "nogo-dense-grid-too-large", "scaling-dense-steps-too-large"])
+            "nogo-dense-grid-too-large", "scaling-dense-steps-too-large",
+            "design-nan-vmax", "design-inf-vmax", "design-negative-budget",
+            "nogo-nan-gamma", "scaling-nan-inv-v", "prefactor-nan-inv-v",
+            "noise-validate-nan-g0"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()

@@ -1,7 +1,9 @@
 """Tests for the Magnus-expansion quantities and the no-go machinery."""
 
+import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,7 +287,52 @@ class TestMu2x:
         assert slope >= 3.9
 
 
+def _dense_nogo(pulse, n):
+    """verify_nogo's report from dense N x N kernel matrices
+    (A_ij = |t_i - t_j|, B_ij = sgn(t_i - t_j)), as a reference."""
+    tau = pulse.tau_p
+    dt = tau / n
+    mids = (np.arange(n) + 0.5) * dt
+    psi = pulse.angles_on(mids)
+    cosv, sinv = np.cos(psi), np.sin(psi)
+    gap = mids[:, None] - mids[None, :]
+    a_kernel, b_kernel = np.abs(gap), np.sign(gap)
+    b_cos, b_sin = (b_kernel @ cosv) * dt, (b_kernel @ sinv) * dt
+    b_norm_cos, b_norm_sin = float(b_cos @ b_cos) * dt, float(b_sin @ b_sin) * dt
+    btb = (b_kernel.T @ b_kernel) * dt
+    i32_kernel = 0.5 * (b_norm_cos + b_norm_sin)
+    return magnus.NoGoReport(
+        grid_n=n, dt=dt,
+        quad_a_cos=float(cosv @ (a_kernel @ cosv)) * dt * dt,
+        quad_a_sin=float(sinv @ (a_kernel @ sinv)) * dt * dt,
+        b_norm_cos=b_norm_cos, b_norm_sin=b_norm_sin,
+        identity_residual=float(np.abs(a_kernel - 0.5 * (tau - btb)).max()),
+        i32_kernel=i32_kernel, i32_discrete=EXP_MODEL.cusp_coefficient * i32_kernel)
+
+
 class TestVerifyNogo:
+    @pytest.mark.parametrize("n", [2, 3, 64, 257])
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    @pytest.mark.parametrize("name", ["CORPSE", "SCORPSE", "CLASS2ND", "SYM2ND", "ASYM2ND"])
+    def test_ordered_sums_match_dense_kernels(self, catalog, name, tau, n):
+        p = catalog[name].with_duration(tau)
+        got = dataclasses.asdict(verify_nogo(p, n, model=EXP_MODEL))
+        ref = dataclasses.asdict(_dense_nogo(p, n))
+        assert got["identity_residual"] == ref["identity_residual"]
+        np.testing.assert_allclose(list(got.values()), list(ref.values()), rtol=1e-12, atol=0)
+
+    def test_memory_is_linear_in_grid(self, catalog):
+        # the dense route peaks at 192 MiB here (four 2048 x 2048 arrays and B^T B)
+        p = catalog["SCORPSE"].with_duration(1.0)
+        verify_nogo(p, 8)
+        tracemalloc.start()
+        try:
+            verify_nogo(p, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_scorpse_matches_quadrature(self, catalog):
         p = catalog["SCORPSE"].with_duration(1.0)
         report = verify_nogo(p, 2048, model=EXP_MODEL)

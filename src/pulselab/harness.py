@@ -65,8 +65,10 @@ class ScalingExperimentConfig:
 
     def __post_init__(self):
         iv = tuple(float(v) for v in self.inv_v_grid)
-        if not all(0 < v < math.inf for v in iv) or any(b <= a for a, b in zip(iv, iv[1:])):
-            raise ValueError("inv_v_grid must be positive, finite and strictly increasing")
+        if not iv or not all(0 < v < math.inf for v in iv) or \
+                any(b <= a for a, b in zip(iv, iv[1:])):
+            raise ValueError("inv_v_grid must be non-empty, positive, finite and "
+                             "strictly increasing")
         object.__setattr__(self, "inv_v_grid", iv)
         object.__setattr__(self, "pulses", tuple(p.upper() for p in self.pulses))
         if self.realizations < 2:
@@ -327,6 +329,8 @@ def run_prefactor_check(pulse_name: str, model: AutocorrelationModel,
     With S = C = 0 the leading term of mean DF^2 under exponential noise is
     (4/3) I_3/2 = (4/3) a K tau_p^3, from the closed-form shape kernel K.
     """
+    if len(inv_v_list) == 0:
+        raise ValueError("prefactor check needs at least one 1/v value")
     catalog = catalog or load_catalog()
     base = catalog[pulse_name]
     s_val, c_val = first_order_integrals(base)

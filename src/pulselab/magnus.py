@@ -15,10 +15,11 @@ F(x) = int_0^x e^{i psi},
 
 which is manifestly positive once S = C = 0 (F(1) = 0), since B annihilates
 no nonzero function.  K, the first moments and the ordered sine integral are
-tau_p scalings of one pass over the segment table of ``pulses``.
+tau_p scalings of one pass over the (edges, amplitudes) layout of ``pulses``.
 verify_nogo checks the operator identity on a discretized grid, applying A
 and B as ordered (prefix) sums in O(N) memory; minimize_i32 searches for the
-attainable minimum of the exact K with SLSQP, nested over the segment count.
+attainable minimum of the exact K with SLSQP, nested over the segment count,
+reading each point's layout straight from its parameters.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from scipy.optimize import minimize
 
 from .errors import GridMismatch, NoFeasiblePoint, NotFirstOrder
 from .noise import MAX_DENSE_N, AutocorrelationModel, NoiseRealization
-from .pulses import (FIRST_ORDER_TOL, PiecewiseConstantPulse, PulseSegment,
+from .pulses import (FIRST_ORDER_TOL, PiecewiseConstantPulse, PulseSegment, _layout,
                      _primitive_table, _shape_sums, first_order_integrals,
                      grid_is_aligned, load_catalog)
 
@@ -92,7 +93,7 @@ def first_order_terms(pulse: PiecewiseConstantPulse,
 def first_moment_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:
     """(int t sin psi dt, int t cos psi dt); vanish for the time-dependent
     second-order condition set, but not for every advertised-order-2 shape."""
-    moment = _shape_sums(pulse.segments)[2]
+    moment = _shape_sums(*_layout(pulse.segments))[2]
     return moment.imag * pulse.tau_p**2, moment.real * pulse.tau_p**2
 
 
@@ -102,7 +103,7 @@ def ordered_sine_integral(pulse: PiecewiseConstantPulse) -> float:
     This is the static-noise coefficient of the second Magnus term; it
     vanishes for second-order shapes but not for first-order ones.
     """
-    return _shape_sums(pulse.segments)[3] * pulse.tau_p**2
+    return _shape_sums(*_layout(pulse.segments))[3] * pulse.tau_p**2
 
 
 # -- anomalous integrals -------------------------------------------------------
@@ -121,7 +122,7 @@ def _i32_shape_kernel(segments: tuple[PulseSegment, ...]) -> float:
     Closed form 1/2 int_0^1 |2F - F(1)|^2 - 1/2 |F(1)|^2, summed per segment
     by ``pulses._shape_sums``.  I_3/2 of a concrete pulse is a * K * tau_p^3.
     """
-    return _shape_sums(segments)[4]
+    return _shape_sums(*_layout(segments))[4]
 
 
 def evaluate_i32(pulse: PiecewiseConstantPulse, model: AutocorrelationModel) -> float:
@@ -215,12 +216,12 @@ _SEED_SHAPES = ("CORPSE", "SCORPSE")
 
 def _params_of(pulse: PiecewiseConstantPulse) -> np.ndarray:
     """theta = (segment widths, amplitudes) of a pulse."""
-    return np.array([s.end - s.start for s in pulse.segments]
-                    + [s.amplitude_taup for s in pulse.segments])
+    edges, amps = _layout(pulse.segments)
+    return np.concatenate([np.diff(edges), amps])
 
 
-def _segments_from_params(theta: np.ndarray) -> tuple[PulseSegment, ...]:
-    """The segments of theta = (n widths, n amplitudes), in fractions of tau_p.
+def _layout_of_params(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (edges, amplitudes) of theta = (n widths, n amplitudes).
 
     The edges are the cumulative sums of w / sum(w), so any positive widths
     tile [0, 1], whether or not they add up to 1.
@@ -228,13 +229,7 @@ def _segments_from_params(theta: np.ndarray) -> tuple[PulseSegment, ...]:
     n = theta.size // 2
     edges = np.concatenate([[0.0], np.cumsum(theta[:n]) / theta[:n].sum()])
     edges[-1] = 1.0
-    return tuple(PulseSegment(float(edges[k]), float(edges[k + 1]), float(theta[n + k]))
-                 for k in range(n))
-
-
-def _pulse_from_params(theta: np.ndarray, name: str = "designed") -> PiecewiseConstantPulse:
-    """The tau_p = 1 pulse of theta = (n widths, n amplitudes)."""
-    return PiecewiseConstantPulse(name, 1.0, _segments_from_params(theta), order=1)
+    return edges, theta[n:]
 
 
 def minimize_i32(n_segments: int, model: AutocorrelationModel,
@@ -278,7 +273,7 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
     @lru_cache(maxsize=64)  # SLSQP asks for K and the constraints at the same points
     def evaluate(key: bytes) -> tuple[float, np.ndarray]:
         theta = np.frombuffer(key)
-        angle, f1, _, _, k_val = _shape_sums(_segments_from_params(theta))
+        angle, f1, _, _, k_val = _shape_sums(*_layout_of_params(theta))
         return k_val, np.array([angle - math.pi, f1.imag, f1.real,
                                 theta[: theta.size // 2].sum() - 1.0])
 
@@ -326,5 +321,7 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
             raise NoFeasiblePoint(
                 f"no feasible {n}-segment pulse from {len(starts)} starts")
 
-    pulse = _pulse_from_params(best, name=f"designed-{n_segments}seg")
+    edges, amps = _layout_of_params(best)   # segments for the returned design only
+    segments = tuple(map(PulseSegment, edges[:-1].tolist(), edges[1:].tolist(), amps.tolist()))
+    pulse = PiecewiseConstantPulse(f"designed-{n_segments}seg", 1.0, segments, order=1)
     return pulse, model.cusp_coefficient * best_val

@@ -125,6 +125,8 @@ class TimeGrid:
     def uniform(cls, tau_p: float, n_steps: int) -> "TimeGrid":
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if not 0.0 < tau_p < np.inf:
+            raise ValueError(f"grid span must be positive and finite, got {tau_p!r}")
         return cls(np.linspace(0.0, tau_p, n_steps + 1))
 
     def refined(self, factor: int) -> "TimeGrid":

@@ -7,11 +7,14 @@ tau_p = (v tau_p product) / v.  The rotation angle
     psi(t) = 2 * integral_0^t v(t') dt'
 
 is piecewise linear, so F(x) = int_0^x e^{i psi} is "constant + c e^{i b x}" on
-each segment.  Every segment integral of the package is a short sum over one
-table of closed-form primitives of F.  Built on a shape's segments, one pass
-over it gives S and C here and the moments, the ordered sine integral and
-the anomalous kernel in ``magnus`` (``_shape_sums``); built on a grid's
-steps, it gives the first-order Magnus integrals of ``magnus``.
+each segment.  The closed forms read one array layout of a shape, (edges,
+amplitudes) from ``_layout``: the n + 1 segment boundaries and the n
+amplitude_taup values; psi at the edges is cumsum(2 a dx) (``_edge_angles``).
+Every segment integral of the package is a short sum over one table of
+closed-form primitives of F.  Built on a shape's layout, one pass over it
+gives S and C here and the moments, the ordered sine integral and the
+anomalous kernel in ``magnus`` (``_shape_sums``); built on a grid's steps, it
+gives the first-order Magnus integrals of ``magnus``.
 """
 
 from __future__ import annotations
@@ -56,6 +59,17 @@ class PulseSegment:
     amplitude_taup: float
 
 
+def _layout(segments: tuple[PulseSegment, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, amplitudes) of a shape: n + 1 boundaries, n amplitude_taup values."""
+    return (np.array([segments[0].start] + [s.end for s in segments]),
+            np.array([s.amplitude_taup for s in segments]))
+
+
+def _edge_angles(edges: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """psi at the edges, cumsum(2 a dx) from 0 (duration-independent)."""
+    return np.concatenate([[0.0], np.cumsum(2.0 * amplitudes * (edges[1:] - edges[:-1]))])
+
+
 @dataclass(frozen=True)
 class PiecewiseConstantPulse:
     name: str
@@ -83,7 +97,7 @@ class PiecewiseConstantPulse:
     @property
     def v_tau_product(self) -> float:
         """Peak amplitude times tau_p (the shape's v*tau_p invariant)."""
-        return max(abs(s.amplitude_taup) for s in self.segments)
+        return float(np.abs(_layout(self.segments)[1]).max())
 
     @property
     def peak_amplitude(self) -> float:
@@ -92,13 +106,12 @@ class PiecewiseConstantPulse:
     @property
     def switching_instants(self) -> np.ndarray:
         """Interior jump times, in time units."""
-        return np.array([s.end * self.tau_p for s in self.segments[:-1]])
+        return _layout(self.segments)[0][1:-1] * self.tau_p
 
     @property
     def edge_angles(self) -> np.ndarray:
         """psi at the segment boundaries (duration-independent)."""
-        steps = [2.0 * s.amplitude_taup * (s.end - s.start) for s in self.segments]
-        return np.concatenate([[0.0], np.cumsum(steps)])
+        return _edge_angles(*_layout(self.segments))
 
     @property
     def total_angle(self) -> float:
@@ -118,9 +131,8 @@ class PiecewiseConstantPulse:
     def amplitudes_on(self, times: np.ndarray) -> np.ndarray:
         """Vectorized v(t) at an array of times inside [0, tau_p]."""
         x = np.asarray(times, dtype=float) / self.tau_p
-        ends = np.array([s.end for s in self.segments])
-        amps = np.array([s.amplitude_taup for s in self.segments])
-        idx = np.minimum(np.searchsorted(ends, x, side="right"), len(amps) - 1)
+        edges, amps = _layout(self.segments)
+        idx = np.minimum(np.searchsorted(edges[1:], x, side="right"), len(amps) - 1)
         return amps[idx] / self.tau_p
 
     def angle_at(self, t: float) -> float:
@@ -132,11 +144,9 @@ class PiecewiseConstantPulse:
     def angles_on(self, times: np.ndarray) -> np.ndarray:
         """Vectorized psi(t) at an array of times inside [0, tau_p]."""
         x = np.asarray(times, dtype=float) / self.tau_p
-        ends = np.array([s.end for s in self.segments])
-        starts = np.array([s.start for s in self.segments])
-        amps = np.array([s.amplitude_taup for s in self.segments])
-        idx = np.minimum(np.searchsorted(ends, x, side="left"), len(amps) - 1)
-        return self.edge_angles[idx] + 2.0 * amps[idx] * (x - starts[idx])
+        edges, amps = _layout(self.segments)
+        idx = np.minimum(np.searchsorted(edges[1:], x, side="left"), len(amps) - 1)
+        return _edge_angles(edges, amps)[idx] + 2.0 * amps[idx] * (x - edges[idx])
 
 
 def _primitive_table(widths: list[float], slopes: list[float], angles: list[float]
@@ -172,33 +182,32 @@ def _primitive_table(widths: list[float], slopes: list[float], angles: list[floa
     return table
 
 
-def _shape_sums(segments: tuple[PulseSegment, ...]
+def _shape_sums(edges: np.ndarray, amplitudes: np.ndarray
                 ) -> tuple[float, complex, complex, float, float]:
     """psi(1), F(1), int_0^1 x e^{i psi} dx, D and K of a shape, in fraction units.
 
-    One primitive table over the segments (edge angles from the same cumsum
-    as ``edge_angles``, so F = F0 + g on each segment) and one pass over it:
+    One primitive table over the (edges, amplitudes) layout, with the angles
+    of ``_edge_angles`` (so F = F0 + g on each segment), and one pass over it:
     the first moment adds x1 dF - G per segment, the ordered sine integral
     D = Im int_0^1 e^{i psi} conj(F) adds conj(F0) dF + W, and the kernel K
     of ``magnus`` adds |c|^2 dx + 4 Re(conj(c) G) + 4 Q with c = 2 F0 - F(1).
     """
-    widths = [s.end - s.start for s in segments]
-    slopes = [2.0 * s.amplitude_taup for s in segments]
-    angles = np.concatenate([[0.0], np.cumsum([b * dx for b, dx in zip(slopes, widths)])])
-    table = _primitive_table(widths, slopes, angles.tolist())
+    widths = (edges[1:] - edges[:-1]).tolist()
+    angles = _edge_angles(edges, amplitudes).tolist()
+    table = _primitive_table(widths, (2.0 * amplitudes).tolist(), angles)
     f1 = 0j
     for d_f, _, _, _ in table:
         f1 += d_f
     f0 = moment = ordered = 0j
     acc = 0.0
-    for seg, dx, (d_f, g, q, w) in zip(segments, widths, table):
+    for x1, dx, (d_f, g, q, w) in zip(edges[1:].tolist(), widths, table):
         c = 2.0 * f0 - f1
         acc += (c.real**2 + c.imag**2) * dx + 4.0 * ((c.conjugate() * g).real + q)
-        moment += seg.end * d_f - g
+        moment += x1 * d_f - g
         ordered += f0.conjugate() * d_f + w
         f0 += d_f
     kernel = 0.5 * acc - 0.5 * (f1.real**2 + f1.imag**2)
-    return float(angles[-1]), f1, moment, ordered.imag, kernel
+    return angles[-1], f1, moment, ordered.imag, kernel
 
 
 def first_order_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:
@@ -207,7 +216,7 @@ def first_order_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:
     Both vanish for first-order pulses; a rectangular pi-pulse gives
     (2 tau_p / pi, 0).
     """
-    f1 = _shape_sums(pulse.segments)[1]
+    f1 = _shape_sums(*_layout(pulse.segments))[1]
     return f1.imag * pulse.tau_p, f1.real * pulse.tau_p
 
 
@@ -353,8 +362,8 @@ def build_time_grid(pulse: PiecewiseConstantPulse, n_steps: int) -> TimeGrid:
     """
     if n_steps < len(pulse.segments):
         raise ValueError(f"need at least {len(pulse.segments)} steps for {pulse.name}")
-    fracs = np.array([s.end - s.start for s in pulse.segments])
-    ideal = fracs * n_steps
+    edges = _layout(pulse.segments)[0]
+    ideal = np.diff(edges) * n_steps
     counts = np.maximum(1, np.floor(ideal).astype(int))
     short = n_steps - int(counts.sum())
     if short > 0:
@@ -366,10 +375,10 @@ def build_time_grid(pulse: PiecewiseConstantPulse, n_steps: int) -> TimeGrid:
         # take steps back from the currently most over-represented segments
         excess = np.where(counts > 1, counts - ideal, -np.inf)
         counts[int(np.argmax(excess))] -= 1
+    times = edges * pulse.tau_p
     pieces = [np.array([0.0])]
-    for seg, cnt in zip(pulse.segments, counts):
-        sub = np.linspace(seg.start * pulse.tau_p, seg.end * pulse.tau_p, cnt + 1)
-        pieces.append(sub[1:])
+    for t0, t1, cnt in zip(times[:-1], times[1:], counts):
+        pieces.append(np.linspace(t0, t1, cnt + 1)[1:])
     return TimeGrid(np.concatenate(pieces))
 
 

@@ -229,6 +229,16 @@ class TestOtherSubcommands:
         ["prefactor", "--model", "exponential", "--gamma", "0.01", "--pulse", "corpse",
          "--inv-v", "nan"],
         ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--g0", "nan"],
+        # TimeGrid.uniform refuses a span that is not positive and finite
+        ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--span", "nan"],
+        ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--span", "inf"],
+        ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--span", "0"],
+        ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--span", "-1"],
+        # an empty 1/v list leaves nothing to run
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+         "--inv-v", ","],
+        ["prefactor", "--model", "exponential", "--gamma", "0.01", "--pulse", "corpse",
+         "--inv-v", ","],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
@@ -238,7 +248,9 @@ class TestOtherSubcommands:
             "nogo-dense-grid-too-large", "scaling-dense-steps-too-large",
             "design-nan-vmax", "design-inf-vmax", "design-negative-budget",
             "nogo-nan-gamma", "scaling-nan-inv-v", "prefactor-nan-inv-v",
-            "noise-validate-nan-g0"])
+            "noise-validate-nan-g0", "noise-validate-nan-span", "noise-validate-inf-span",
+            "noise-validate-zero-span", "noise-validate-negative-span",
+            "scaling-empty-inv-v", "prefactor-empty-inv-v"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()

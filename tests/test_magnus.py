@@ -410,20 +410,25 @@ class TestMinimizeI32:
         assert val > 0.0
 
     def test_one_segment_table_per_evaluated_point(self, monkeypatch):
-        calls = {"_primitive_table": 0, "_segments_from_params": 0, "_pulse_from_params": 0}
-        for module, name in ((pulses, "_primitive_table"), (magnus, "_segments_from_params"),
-                             (magnus, "_pulse_from_params")):
+        calls = {"_primitive_table": 0, "_shape_sums": 0, "PulseSegment": 0}
+        for module, name in ((pulses, "_primitive_table"), (magnus, "_shape_sums"),
+                             (magnus, "PulseSegment")):
             def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        minimize_i32(3, EXP_MODEL, budget=30, restarts=1)
-        # every evaluated point builds its segments once and its table once,
-        # and no pulse; the one pulse is the returned design, whose segments
-        # are the last _segments_from_params call
-        points = calls["_segments_from_params"] - 1
-        assert points > 0 and calls["_primitive_table"] == points
-        assert calls["_pulse_from_params"] == 1
+        pulse, _ = minimize_i32(3, EXP_MODEL, budget=30, restarts=1)
+        # every evaluated point is read straight from theta into one table;
+        # the only segments built are the returned design's three
+        assert calls["PulseSegment"] == len(pulse.segments) == 3
+        assert calls["_shape_sums"] > 0 and calls["_primitive_table"] == calls["_shape_sums"]
+
+    @pytest.mark.parametrize("n_seg", [3, 4, 5])
+    def test_parameter_route_matches_segment_route(self, n_seg):
+        # the search scores theta's (edges, amplitudes) layout; the returned
+        # pulse's segments must give the same kernel bit for bit
+        pulse, val = minimize_i32(n_seg, EXP_MODEL, budget=50, restarts=1, seed=0)
+        assert val == EXP_MODEL.cusp_coefficient * _i32_shape_kernel(pulse.segments)
 
     def test_infeasible_amplitude_budget(self):
         # |amplitude| <= 0.5 cannot reach a pi rotation at tau_p = 1

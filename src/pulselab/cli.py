@@ -160,15 +160,15 @@ def _model_from(conf: dict) -> AutocorrelationModel:
                                                eta0=("eta0", float)))
 
 
-def _float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+def _inv_v_values(text) -> tuple[float, ...]:
+    """Explicit 1/v values in increasing order; the config refuses repeats."""
+    tokens = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    return tuple(sorted(float(tok) for tok in tokens if str(tok).strip()))
 
 
 def _inv_v_grid(conf: dict) -> tuple[float, ...]:
     if _get(conf, "inv_v"):
-        return tuple(sorted(_float_list(conf["inv_v"])))
+        return _inv_v_values(conf["inv_v"])
     lo = float(_get(conf, "inv_v_min", 1e-3))
     hi = float(_get(conf, "inv_v_max", 1e-1))
     n = int(_get(conf, "points", 8))
@@ -229,9 +229,8 @@ def _cmd_prefactor(conf: dict) -> int:
     catalog = _load_catalog(conf)
     name = _known_pulse(catalog, str(_get(conf, "pulse", "corpse")))
     model = _model_from(conf)
-    inv_vs = _float_list(_get(conf, "inv_v", "3e-3,1e-2"))
     rows = harness.run_prefactor_check(
-        name, model, inv_vs,
+        name, model, _inv_v_values(_get(conf, "inv_v", "3e-3,1e-2")),
         realizations=int(_get(conf, "realizations", 50000)),
         seed=int(_get(conf, "seed", _default_seed())),
         catalog=catalog,

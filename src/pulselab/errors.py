@@ -33,8 +33,8 @@ class MissingTrajectory(PulselabError):
     """State trajectory was not recorded for this evolution."""
 
 
-class NotFirstOrder(PulselabError):
-    """Pulse does not satisfy the first-order integral conditions."""
+class NotFirstOrder(PulselabError, ValueError):
+    """Pulse does not satisfy the first-order integral conditions (an invalid argument)."""
 
 
 class NoFeasiblePoint(PulselabError):

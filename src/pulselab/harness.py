@@ -9,11 +9,11 @@ fixed-size chunks whose RNG streams derive from (seed, cell, chunk), so
 results are bit-reproducible for a given configuration regardless of worker
 count or scheduling.
 
-One cell runner, `_run_cell`, draws, evolves, reduces and accumulates every
-Monte-Carlo cell: the amplitude sweep, the prefactor check and both branches
-of the grid-convergence check call it.  Every fit, `.dat` file and cell
-reads one statistic, mean DF^2, the quantity the analytic scaling laws
-predict; `run_scaling` passes it straight to `fit_exponent`.
+One sweep, `_sweep`, walks the cells of a `ScalingExperimentConfig`:
+`run_scaling` fits them and `run_prefactor_check` compares a one-pulse sweep
+with the cubic law.  One cell runner, `_run_cell`, serves the sweep and both
+branches of the grid-convergence check.  Every fit, `.dat` file and cell
+reads mean DF^2, the quantity the analytic scaling laws predict.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .metrics import MonteCarloEstimate, accumulate_values, ensemble_frobenius
 from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN, NoiseSampler,
                     TimeGrid, build_sampler)
 from .propagator import evolve_ensemble
-from .pulses import (FIRST_ORDER_TOL, PiecewiseConstantPulse, PulseCatalog, build_time_grid,
-                     first_order_integrals, load_catalog)
+from .pulses import (PiecewiseConstantPulse, PulseCatalog, _require_first_order,
+                     build_time_grid, load_catalog)
 
 #: points whose relative standard error of mean Delta_F exceeds this are excluded
 REL_STDERR_MAX = 0.05
@@ -268,36 +268,34 @@ def _run_cell(pulse: PiecewiseConstantPulse, grid: TimeGrid, sampler: NoiseSampl
             for k in _CELL_KEYS}
 
 
+def _sweep(config: ScalingExperimentConfig, catalog: PulseCatalog) -> Iterator[tuple]:
+    """(pulse, 1/v, scaled pulse, estimates) per cell, pulses outermost; cell k
+    builds its own grid and sampler and draws chunk c from stream (k, c)."""
+    cells = [(name, inv_v) for name in config.pulses for inv_v in config.inv_v_grid]
+    for k, (name, inv_v) in enumerate(cells):
+        scaled = catalog[name].for_inverse_amplitude(inv_v)
+        grid = build_time_grid(scaled, config.steps_per_pulse)
+        sampler = build_sampler(config.model, grid, config.seed)
+        yield name, inv_v, scaled, _run_cell(scaled, grid, sampler, k, config.realizations,
+                                             config.chunk_size, config.workers)
+
+
 def run_scaling(config: ScalingExperimentConfig,
                 catalog: Optional[PulseCatalog] = None) -> ScalingResult:
     """Sweep 1/v for every configured pulse and fit the scaling exponents.
 
-    For each cell: tau_p = (v tau_p product) * inv_v, one sampler build, M
-    realizations evolved in chunks, means accumulated with exactly-rounded
-    summation.  The exponent fit reads mean DF^2 and its standard error over
-    the fit window with the standard exclusion rule.
+    A pulse is fitted once its last cell is in, from mean DF^2 and its
+    standard error over the fit window with the standard exclusion rule.
     """
     catalog = catalog or load_catalog()
     result = ScalingResult(config)
-    cell_index = 0
-    for name in config.pulses:
-        base = catalog[name]
-        for inv_v in config.inv_v_grid:
-            scaled = base.for_inverse_amplitude(inv_v)
-            grid = build_time_grid(scaled, config.steps_per_pulse)
-            sampler = build_sampler(config.model, grid, config.seed)
-            est = _run_cell(scaled, grid, sampler, cell_index, config.realizations,
-                            config.chunk_size, config.workers)
-            result.cells.append(CellStats(
-                pulse=name,
-                inv_v=inv_v,
-                estimate=est["df2"],
-                partials=(est["partial_x"], est["partial_y"], est["partial_z"]),
-            ))
-            cell_index += 1
-        pts = [(c.inv_v, c.estimate.mean_df2, c.estimate.stderr_df2)
-               for c in result.cells_for(name)]
-        result.fits[name] = fit_exponent(pts, config.window)
+    for name, inv_v, _, est in _sweep(config, catalog):
+        result.cells.append(CellStats(name, inv_v, est["df2"], (
+            est["partial_x"], est["partial_y"], est["partial_z"])))
+        if inv_v == config.inv_v_grid[-1]:
+            pts = [(c.inv_v, c.estimate.mean_df2, c.estimate.stderr_df2)
+                   for c in result.cells_for(name)]
+            result.fits[name] = fit_exponent(pts, config.window)
     return result
 
 
@@ -326,29 +324,21 @@ def run_prefactor_check(pulse_name: str, model: AutocorrelationModel,
                         catalog: Optional[PulseCatalog] = None) -> list[PrefactorRow]:
     """Measured mean DF^2 against the leading cubic law of a first-order pulse.
 
-    With S = C = 0 the leading term of mean DF^2 under exponential noise is
+    The cells are those of a one-pulse `run_scaling` sweep.  With S = C = 0
+    the leading term of mean DF^2 under exponential noise is
     (4/3) I_3/2 = (4/3) a K tau_p^3, from the closed-form shape kernel K.
     """
-    if len(inv_v_list) == 0:
-        raise ValueError("prefactor check needs at least one 1/v value")
+    config = ScalingExperimentConfig(pulses=(pulse_name,), model=model,
+                                     inv_v_grid=inv_v_list, realizations=realizations,
+                                     steps_per_pulse=steps_per_pulse, seed=seed)
     catalog = catalog or load_catalog()
-    base = catalog[pulse_name]
-    s_val, c_val = first_order_integrals(base)
-    if max(abs(s_val), abs(c_val)) > FIRST_ORDER_TOL * base.tau_p:
-        raise ValueError(f"prefactor check needs a first-order pulse; {base.name} has "
-                         f"S={s_val:.2e}, C={c_val:.2e}")
+    _require_first_order(catalog[pulse_name])
     if model.cusp_coefficient == 0.0:
         raise ValueError("prefactor check requires a cusp: the exponential model "
                          "with gamma > 0")
-    rows = []
-    for k, inv_v in enumerate(inv_v_list):
-        scaled = base.for_inverse_amplitude(inv_v)
-        grid = build_time_grid(scaled, steps_per_pulse)
-        sampler = build_sampler(model, grid, seed)
-        est = _run_cell(scaled, grid, sampler, k, realizations)["df2"]
-        predicted = 4.0 / 3.0 * evaluate_i32(scaled, model)
-        rows.append(PrefactorRow(inv_v, est.mean_df2, est.stderr_df2, predicted))
-    return rows
+    return [PrefactorRow(inv_v, est["df2"].mean_df2, est["df2"].stderr_df2,
+                         4.0 / 3.0 * evaluate_i32(scaled, model))
+            for _, inv_v, scaled, est in _sweep(config, catalog)]
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,10 @@ from scipy.integrate import quad  # noqa: F401  unused; the benchmark tracer wra
 from scipy.optimize import least_squares  # noqa: F401  unused; the benchmark tracer wraps magnus.least_squares
 from scipy.optimize import minimize
 
-from .errors import GridMismatch, NoFeasiblePoint, NotFirstOrder
-from .noise import MAX_DENSE_N, AutocorrelationModel, NoiseRealization
-from .pulses import (FIRST_ORDER_TOL, PiecewiseConstantPulse, PulseSegment, _layout,
-                     _primitive_table, _shape_sums, first_order_integrals,
+from .errors import GridMismatch, NoFeasiblePoint
+from .noise import MAX_DENSE_N, AutocorrelationModel, NoiseRealization, _stream_generator
+from .pulses import (PiecewiseConstantPulse, PulseSegment, _layout, _primitive_table,
+                     _require_first_order, _shape_sums, first_order_integrals,
                      grid_is_aligned, load_catalog)
 
 FEASIBILITY_TOL = 1e-8
@@ -168,12 +168,7 @@ def verify_nogo(pulse: PiecewiseConstantPulse, grid_n: int,
     """
     if not 2 <= grid_n <= MAX_DENSE_N:
         raise ValueError(f"grid_n must lie in [2, {MAX_DENSE_N}]")
-    s_val, c_val = first_order_integrals(pulse)
-    tol = FIRST_ORDER_TOL * pulse.tau_p
-    if abs(s_val) > tol or abs(c_val) > tol:
-        raise NotFirstOrder(
-            f"{pulse.name}: S={s_val:.2e}, C={c_val:.2e} exceed {tol:.1e}"
-        )
+    _require_first_order(pulse)
 
     tau = pulse.tau_p
     dt = tau / grid_n
@@ -305,9 +300,7 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
         lo = np.concatenate([np.full(n, MIN_GAP), np.full(n, -v_max_taup)])
         hi = np.concatenate([np.ones(n), np.full(n, v_max_taup)])
         for r in range(restarts):
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(entropy=seed, spawn_key=(n, r))))
-            starts.append(rng.uniform(lo, hi))
+            starts.append(_stream_generator(seed, n, r).uniform(lo, hi))
         for theta0 in starts:
             theta0 = np.clip(theta0, lo, hi)
             sol = minimize(kernel, theta0, method="SLSQP", bounds=list(zip(lo, hi)),

@@ -68,7 +68,9 @@ class AutocorrelationModel:
         """g(t); accepts scalars or arrays and is even in t by construction."""
         t = np.asarray(t, dtype=float)
         if self.kind == GAUSSIAN:
-            out = self.g0**2 * np.exp(-(self.gamma**2) * t * t)
+            # gamma^2 t^2 may overflow to inf at huge t; exp(-inf) = 0 is right
+            with np.errstate(over="ignore"):
+                out = self.g0**2 * np.exp(-(self.gamma**2) * t * t)
         else:
             out = self.g0**2 * np.exp(-self.gamma * np.abs(t))
         return out if out.ndim else float(out)
@@ -115,7 +117,8 @@ class TimeGrid:
 
     @property
     def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.boundaries[1:] + self.boundaries[:-1])
+        # halving first cannot overflow, and is exact for normal floats
+        return 0.5 * self.boundaries[1:] + 0.5 * self.boundaries[:-1]
 
     @property
     def widths(self) -> np.ndarray:
@@ -133,13 +136,21 @@ class TimeGrid:
         """Split every step into `factor` uniform substeps (boundaries kept)."""
         if factor < 1:
             raise ValueError("factor must be >= 1")
-        if factor == 1:
-            return self
-        b = self.boundaries
-        pieces = [b[:1]]
-        for k in range(self.n_steps):
-            pieces.append(np.linspace(b[k], b[k + 1], factor + 1)[1:])
-        return TimeGrid(np.concatenate(pieces))
+        return _subdivide(self.boundaries, [factor] * self.n_steps)
+
+
+def _subdivide(points: np.ndarray, counts) -> TimeGrid:
+    """The grid splitting interval k of `points` into counts[k] uniform steps."""
+    pieces = [points[:1]]
+    for t0, t1, cnt in zip(points[:-1], points[1:], counts):
+        pieces.append(np.linspace(t0, t1, cnt + 1)[1:])
+    return TimeGrid(np.concatenate(pieces))
+
+
+def _stream_generator(seed: int, *stream: int) -> np.random.Generator:
+    """Counter-based Philox generator of (seed, stream), whatever the draw order."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=stream)
+    return np.random.Generator(np.random.Philox(seq))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,18 +234,13 @@ class NoiseSampler:
             z[i] += a * z[i - 1]
         return z
 
-    def _generator(self, *stream: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(stream))
-        return np.random.Generator(np.random.Philox(seq))
-
     def sample_block(self, count: int, stream: tuple[int, ...] = ()) -> np.ndarray:
         """Draw `count` realizations at once; shape (n_steps, count).
 
         A given (seed, stream) pair always yields the same block, so chunked
         parallel sampling reproduces bit-identically in any schedule.
         """
-        rng = self._generator(*stream)
-        z = rng.standard_normal((self.grid.n_steps, count))
+        z = _stream_generator(self.seed, *stream).standard_normal((self.grid.n_steps, count))
         eta = self._markov(z) if self.model.kind == EXPONENTIAL else self.transform @ z
         eta += self.model.eta0
         return eta

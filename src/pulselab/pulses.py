@@ -26,8 +26,8 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import CatalogInvalid, OutOfRangeError
-from .noise import TimeGrid
+from .errors import CatalogInvalid, NotFirstOrder, OutOfRangeError
+from .noise import TimeGrid, _subdivide
 
 ANGLE_TOL = 1e-9
 FIRST_ORDER_TOL = 1e-9
@@ -220,6 +220,15 @@ def first_order_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:
     return f1.imag * pulse.tau_p, f1.real * pulse.tau_p
 
 
+def _require_first_order(pulse: PiecewiseConstantPulse) -> None:
+    """Raise NotFirstOrder unless |S| and |C| are at most FIRST_ORDER_TOL * tau_p."""
+    s_val, c_val = first_order_integrals(pulse)
+    tol = FIRST_ORDER_TOL * pulse.tau_p
+    if max(abs(s_val), abs(c_val)) > tol:
+        raise NotFirstOrder(f"{pulse.name} is not a first-order pulse: "
+                            f"S={s_val:.2e}, C={c_val:.2e} exceed {tol:.1e}")
+
+
 # -- catalog ----------------------------------------------------------------
 
 
@@ -375,11 +384,7 @@ def build_time_grid(pulse: PiecewiseConstantPulse, n_steps: int) -> TimeGrid:
         # take steps back from the currently most over-represented segments
         excess = np.where(counts > 1, counts - ideal, -np.inf)
         counts[int(np.argmax(excess))] -= 1
-    times = edges * pulse.tau_p
-    pieces = [np.array([0.0])]
-    for t0, t1, cnt in zip(times[:-1], times[1:], counts):
-        pieces.append(np.linspace(t0, t1, cnt + 1)[1:])
-    return TimeGrid(np.concatenate(pieces))
+    return _subdivide(edges * pulse.tau_p, counts)
 
 
 def truncate_pulse(pulse: PiecewiseConstantPulse, decimals: int) -> PiecewiseConstantPulse:

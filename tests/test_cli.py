@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, config merge, exit codes, outputs."""
 
 import json
+import math
 
 import pytest
 
@@ -132,6 +133,19 @@ class TestOtherSubcommands:
         text = (tmp_path / "prefactor_corpse.csv").read_text()
         assert text.startswith("inv_v,measured_df2")
 
+    def test_prefactor_sorts_inv_v(self, tmp_path):
+        # rows come in increasing 1/v, each drawn from its sorted position's
+        # streams, as scaling does
+        args = ["prefactor", "--model", "exponential", "--gamma", "0.01",
+                "--pulse", "corpse", "--realizations", "200", "--steps", "32",
+                "--seed", "3"]
+        texts = []
+        for inv_v, out in (("1e-2,3e-3", "given"), ("3e-3,1e-2", "sorted")):
+            assert run(args + ["--inv-v", inv_v, "--out", str(tmp_path / out)]) == 0
+            texts.append((tmp_path / out / "prefactor_corpse.csv").read_text())
+        assert texts[0] == texts[1]
+        assert [float(line.split(",")[0]) for line in texts[0].splitlines()[1:]] == [3e-3, 1e-2]
+
     def test_nogo(self, tmp_path):
         code = run(["nogo", "--pulse", "scorpse", "--grid", "256",
                     "--model", "exponential", "--gamma", "0.01",
@@ -140,11 +154,6 @@ class TestOtherSubcommands:
         payload = json.loads((tmp_path / "nogo_scorpse.json").read_text())
         assert payload["i32_kernel"] > 0
         assert payload["identity_residual"] > 0
-
-    def test_nogo_zeroth_order_is_numerical_error(self, tmp_path):
-        code = run(["nogo", "--pulse", "rect", "--grid", "64",
-                    "--out", str(tmp_path)])
-        assert code == 3
 
     def test_design(self, tmp_path):
         code = run(["design", "--model", "exponential", "--gamma", "0.01",
@@ -179,6 +188,19 @@ class TestOtherSubcommands:
         assert code == 0
         payload = json.loads((tmp_path / "noise_validate.json").read_text())
         assert payload["max_cov_sigma"] < 5.0 and payload["max_mean_sigma"] < 5.0
+
+    @pytest.mark.parametrize("model, gamma", [("gaussian", "0.5"), ("exponential", "1.0"),
+                                              ("exponential", "0")])
+    def test_noise_validate_huge_span(self, tmp_path, model, gamma):
+        # midpoints of boundaries near the largest float do not overflow, and
+        # the Gaussian g(t) underflows to 0 without a warning
+        code = run(["noise-validate", "--model", model, "--gamma", gamma,
+                    "--span", "1e308", "--steps", "8", "--realizations", "2000",
+                    "--seed", "2", "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "noise_validate.json").read_text())
+        assert math.isfinite(payload["max_cov_sigma"])
+        assert math.isfinite(payload["max_mean_sigma"])
 
     def test_noise_validate_sums_over_chunks(self, tmp_path):
         # 9000 realizations span three chunks of harness.DEFAULT_CHUNK
@@ -234,6 +256,11 @@ class TestOtherSubcommands:
         ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--span", "inf"],
         ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--span", "0"],
         ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--span", "-1"],
+        # the sweep's config refuses a repeated 1/v for prefactor as for scaling
+        ["prefactor", "--model", "exponential", "--gamma", "0.01", "--pulse", "corpse",
+         "--inv-v", "1e-2,1e-2"],
+        # NotFirstOrder is an invalid argument, as in prefactor-rect
+        ["nogo", "--pulse", "rect", "--grid", "64"],
         # an empty 1/v list leaves nothing to run
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
          "--inv-v", ","],
@@ -250,6 +277,7 @@ class TestOtherSubcommands:
             "nogo-nan-gamma", "scaling-nan-inv-v", "prefactor-nan-inv-v",
             "noise-validate-nan-g0", "noise-validate-nan-span", "noise-validate-inf-span",
             "noise-validate-zero-span", "noise-validate-negative-span",
+            "prefactor-duplicate-inv-v", "nogo-not-first-order",
             "scaling-empty-inv-v", "prefactor-empty-inv-v"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2

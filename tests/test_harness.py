@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from pulselab import (AutocorrelationModel, InsufficientPoints,
+from pulselab import (AutocorrelationModel, InsufficientPoints, NotFirstOrder,
                       ScalingExperimentConfig, evaluate_i32, fit_exponent,
-                      run_convergence_check, run_prefactor_check, run_scaling)
+                      run_convergence_check, run_prefactor_check, run_scaling,
+                      verify_nogo)
 
 EXP = AutocorrelationModel("exponential", gamma=0.01)
 GAUSS = AutocorrelationModel("gaussian", gamma=0.1)
@@ -177,6 +178,25 @@ class TestPrefactorCheck:
         # gamma = 0 predicts a zero cubic law: every ratio would divide by 0
         with pytest.raises(ValueError):
             run_prefactor_check("CORPSE", AutocorrelationModel("exponential"), [1e-2], 100)
+
+    @pytest.mark.parametrize("inv_vs, realizations", [
+        ([1e-2, 1e-2], 100),        # one 1/v twice
+        ([1e-2, 3e-3], 100),        # not increasing
+        ([3e-3, 1e-2], 1),          # no standard error from one realization
+    ], ids=["repeated", "unsorted", "one-realization"])
+    def test_sweep_config_rules_apply(self, monkeypatch, inv_vs, realizations):
+        # the sweep's config refuses these before any cell is drawn
+        monkeypatch.setattr("pulselab.harness._run_cell", None)
+        with pytest.raises(ValueError):
+            run_prefactor_check("CORPSE", EXP, inv_vs, realizations)
+
+    def test_first_order_rule_is_shared(self, catalog):
+        # one rule and one exception type for the prefactor and no-go checks
+        for check in (lambda: run_prefactor_check("RECT", EXP, [1e-2], 100),
+                      lambda: verify_nogo(catalog["RECT"], 64)):
+            with pytest.raises(NotFirstOrder) as info:
+                check()
+            assert isinstance(info.value, ValueError)
 
 
 class TestConvergenceCheck:

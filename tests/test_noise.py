@@ -163,7 +163,7 @@ class TestMarkovSampler:
         grid = build_time_grid(load_catalog()["CORPSE"], 96)
         sampler = build_sampler(model, grid, seed=11)
         stream = (3, 1)
-        z = sampler._generator(*stream).standard_normal((grid.n_steps, 200))
+        z = noise._stream_generator(11, *stream).standard_normal((grid.n_steps, 200))
         block = sampler.sample_block(200, stream=stream)
         assert np.abs(block - (sampler.transform @ z + model.eta0)).max() <= 1e-12
 

@@ -9,6 +9,14 @@ fixed-size chunks whose RNG streams derive from (seed, cell, chunk), so
 results are bit-reproducible for a given configuration regardless of worker
 count or scheduling.
 
+A cell's full chunks run in groups of min(workers, full chunks).  Worker
+threads draw a group's blocks into one (group, n_steps, chunk) buffer (the
+Philox fill and the Gaussian matmul release the GIL); the calling thread then
+evolves the group as one (n_steps, group, chunk) block.  The step loop thus
+runs once per group, in one thread: run on several threads, its many small
+ufunc calls hand the GIL back and forth and run slower than one after the
+other.  A remainder chunk runs alone.
+
 One sweep, `_sweep`, walks the cells of a `ScalingExperimentConfig`:
 `run_scaling` fits them and `run_prefactor_check` compares a one-pulse sweep
 with the cubic law.  One cell runner, `_run_cell`, serves the sweep and both
@@ -38,6 +46,9 @@ from .pulses import (PiecewiseConstantPulse, PulseCatalog, _require_first_order,
 
 #: points whose relative standard error of mean Delta_F exceeds this are excluded
 REL_STDERR_MAX = 0.05
+
+#: a fit needs at least this many usable points
+MIN_FIT_POINTS = 3
 
 #: realizations per chunk; chunk c of cell k draws from RNG stream (k, c)
 DEFAULT_CHUNK = 2**12
@@ -188,6 +199,11 @@ class ScalingResult:
 # -- fitting -----------------------------------------------------------------
 
 
+def _in_window(inv_v: float, window: tuple[float, float]) -> bool:
+    lo, hi = window
+    return lo <= inv_v <= hi
+
+
 def fit_exponent(points: Sequence[tuple[float, float, float]],
                  window: tuple[float, float]) -> FitResult:
     """Fit log10(mean DF) vs log10(1/v) from (inv_v, mean_df2, stderr_df2) rows.
@@ -196,11 +212,10 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
     sigma_log = stderr_df2 / (2 mean_df2 ln 10); points outside the window or
     with relative standard error of DF above ``REL_STDERR_MAX`` are excluded.
     """
-    lo, hi = window
     usable = []
     excluded = []
     for inv_v, mean_df2, stderr_df2 in points:
-        if not lo <= inv_v <= hi:
+        if not _in_window(inv_v, window):
             excluded.append((inv_v, "outside fit window"))
             continue
         if mean_df2 <= 0:
@@ -211,9 +226,9 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
             excluded.append((inv_v, f"relative stderr {rel_df:.1%} > {REL_STDERR_MAX:.0%}"))
             continue
         usable.append((inv_v, mean_df2, stderr_df2))
-    if len(usable) < 3:
+    if len(usable) < MIN_FIT_POINTS:
         raise InsufficientPoints(
-            f"{len(usable)} usable points after exclusion; need >= 3"
+            f"{len(usable)} usable points after exclusion; need >= {MIN_FIT_POINTS}"
         )
     arr = np.array(usable)
     # weighted least squares of log10 DF against log10(1/v)
@@ -243,28 +258,37 @@ def _run_cell(pulse: PiecewiseConstantPulse, grid: TimeGrid, sampler: NoiseSampl
               ) -> dict[str, MonteCarloEstimate]:
     """Draw, evolve, reduce and accumulate the realizations of one cell.
 
-    Chunk c draws its block from stream (cell_index, c) of `sampler`.  With
-    `rows` given, only those rows of the sampler's grid reach `grid`: a
-    coarser grid whose midpoints are a subset of the sampler's then sees
-    exact subsamples of the finer draws.
+    Chunk c draws its block from stream (cell_index, c) of `sampler`.  The
+    full chunks run in groups of min(workers, full chunks): worker threads
+    draw the group's blocks into one (group, n_steps, chunk) buffer, and the
+    calling thread evolves the whole group in one pass.  The remainder chunk
+    runs alone.  With `rows` given, only those rows of the sampler's grid
+    reach `grid`: a coarser grid whose midpoints are a subset of the
+    sampler's then sees exact subsamples of the finer draws.
     """
     full, rest = divmod(realizations, chunk_size)
-    sizes = [chunk_size] * full + ([rest] if rest else [])
+    parts = []
 
-    def draw(m: int, c: int) -> np.ndarray:
-        eta = sampler.sample_block(m, stream=(cell_index, c))
-        return eta if rows is None else eta[rows]
+    def reduce(eta: np.ndarray) -> None:
+        if rows is not None:
+            eta = eta[rows]
+        parts.append(ensemble_frobenius(*evolve_ensemble(pulse, grid, eta)))
 
-    def one_chunk(c: int) -> dict[str, np.ndarray]:
-        w, x, y, z = evolve_ensemble(pulse, grid, draw(sizes[c], c))
-        return ensemble_frobenius(w, x, y, z)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, range(len(sizes))))
-    else:
-        parts = [one_chunk(c) for c in range(len(sizes))]
-    return {k: accumulate_values(np.concatenate([p[k] for p in parts]))
+    if full:
+        group = min(workers, full)
+        buf = np.empty((group, sampler.grid.n_steps, chunk_size))
+        with ThreadPoolExecutor(max_workers=group) as pool:
+            for c0 in range(0, full, group):
+                block = buf[:min(group, full - c0)]
+                # list() reads every result, so a failed draw raises here
+                list(pool.map(lambda j: sampler.sample_block(
+                    chunk_size, stream=(cell_index, c0 + j), out=block[j]),
+                    range(len(block))))
+                reduce(block.transpose(1, 0, 2))
+        del buf, block                   # freed before the remainder is drawn
+    if rest:
+        reduce(sampler.sample_block(rest, stream=(cell_index, full)))
+    return {k: accumulate_values(np.concatenate([p[k].ravel() for p in parts]))
             for k in _CELL_KEYS}
 
 
@@ -285,8 +309,15 @@ def run_scaling(config: ScalingExperimentConfig,
     """Sweep 1/v for every configured pulse and fit the scaling exponents.
 
     A pulse is fitted once its last cell is in, from mean DF^2 and its
-    standard error over the fit window with the standard exclusion rule.
+    standard error over the fit window with the standard exclusion rule.  A
+    1/v grid with fewer than `MIN_FIT_POINTS` values in the fit window is
+    refused (ValueError) before any cell is drawn.
     """
+    inside = sum(_in_window(inv_v, config.window) for inv_v in config.inv_v_grid)
+    if inside < MIN_FIT_POINTS:
+        lo, hi = config.window
+        raise ValueError(f"{inside} of the 1/v values lie in the fit window "
+                         f"[{lo!r}, {hi!r}]; a fit needs >= {MIN_FIT_POINTS}")
     catalog = catalog or load_catalog()
     result = ScalingResult(config)
     for name, inv_v, _, est in _sweep(config, catalog):

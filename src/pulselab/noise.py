@@ -234,14 +234,21 @@ class NoiseSampler:
             z[i] += a * z[i - 1]
         return z
 
-    def sample_block(self, count: int, stream: tuple[int, ...] = ()) -> np.ndarray:
+    def sample_block(self, count: int, stream: tuple[int, ...] = (),
+                     out: np.ndarray | None = None) -> np.ndarray:
         """Draw `count` realizations at once; shape (n_steps, count).
 
         A given (seed, stream) pair always yields the same block, so chunked
-        parallel sampling reproduces bit-identically in any schedule.
+        parallel sampling reproduces bit-identically in any schedule.  With
+        `out` (C-contiguous, that shape) the block is written there and
+        returned; the Philox fill and the Gaussian matmul release the GIL.
         """
-        z = _stream_generator(self.seed, *stream).standard_normal((self.grid.n_steps, count))
-        eta = self._markov(z) if self.model.kind == EXPONENTIAL else self.transform @ z
+        shape = (self.grid.n_steps, count)
+        gen = _stream_generator(self.seed, *stream)
+        if self.model.kind == EXPONENTIAL:
+            eta = self._markov(gen.standard_normal(shape, out=out))
+        else:
+            eta = np.matmul(self.transform, gen.standard_normal(shape), out=out)
         eta += self.model.eta0
         return eta
 

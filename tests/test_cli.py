@@ -266,6 +266,13 @@ class TestOtherSubcommands:
          "--inv-v", ","],
         ["prefactor", "--model", "exponential", "--gamma", "0.01", "--pulse", "corpse",
          "--inv-v", ","],
+        # fewer than 3 values of 1/v in the fit window: refused before any cell
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect,corpse",
+         "--points", "2"],
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect,corpse",
+         "--inv-v", "1e-4,2e-4,3e-4"],
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect,corpse",
+         "--inv-v", "1e-3,2e-3,5e-2,6e-2"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
@@ -278,7 +285,8 @@ class TestOtherSubcommands:
             "noise-validate-nan-g0", "noise-validate-nan-span", "noise-validate-inf-span",
             "noise-validate-zero-span", "noise-validate-negative-span",
             "prefactor-duplicate-inv-v", "nogo-not-first-order",
-            "scaling-empty-inv-v", "prefactor-empty-inv-v"])
+            "scaling-empty-inv-v", "prefactor-empty-inv-v", "scaling-two-points",
+            "scaling-below-fit-window", "scaling-two-in-fit-window"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()

@@ -2,12 +2,16 @@
 
 import json
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from pulselab import (AutocorrelationModel, InsufficientPoints, NotFirstOrder,
-                      ScalingExperimentConfig, evaluate_i32, fit_exponent,
+                      ScalingExperimentConfig, build_sampler, build_time_grid,
+                      evaluate_i32, fit_exponent, harness, load_catalog,
                       run_convergence_check, run_prefactor_check, run_scaling,
                       verify_nogo)
 
@@ -83,12 +87,47 @@ class TestRunScaling:
             assert a.poldev.mean_df2 == b.poldev.mean_df2
 
     def test_worker_count_invariance(self):
-        r1 = run_scaling(small_config(workers=1))
-        r2 = run_scaling(small_config(workers=2))
-        for a, b in zip(r1.cells, r2.cells):
-            assert a.estimate.mean_df2 == b.estimate.mean_df2
-        # every column of every exponential cell, not only mean DF^2
-        assert r1.csv_text() == r2.csv_text()
+        # 5 full chunks and a remainder at two chunk sizes: with 2 to 4 workers
+        # the last group is partial, and threads hand over the GIL every
+        # microsecond
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for chunk in (512, 768):
+                cfg = dict(realizations=5 * chunk + 37, chunk_size=chunk)
+                runs = [run_scaling(small_config(workers=n, **cfg)) for n in (1, 2, 3, 4)]
+                # every column of every exponential cell, not only mean DF^2
+                for r in runs[1:]:
+                    assert r.csv_text() == runs[0].csv_text()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_workers_above_full_chunks(self, monkeypatch):
+        # 8 workers, 2 full chunks: one buffer of 2 blocks and 2 threads at most
+        n_steps, chunk = 256, 1024
+        pulse = load_catalog()["RECT"].for_inverse_amplitude(1e-2)
+        grid = build_time_grid(pulse, n_steps)
+        sampler = build_sampler(EXP, grid, 3)
+        pools = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+        block_bytes = 8 * grid.n_steps * chunk
+        tracemalloc.start()
+        try:
+            est = harness._run_cell(pulse, grid, sampler, 0, 2 * chunk + 5, chunk,
+                                    workers=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pools == [2]
+        assert 2 * block_bytes <= peak < 3 * block_bytes
+        assert est["df2"] == harness._run_cell(pulse, grid, sampler, 0, 2 * chunk + 5,
+                                               chunk)["df2"]
 
     def test_fit_records_excluded_points(self):
         res = run_scaling(small_config(inv_v_grid=(1e-3, 3e-3, 1e-2, 3e-2, 0.1)))
@@ -125,9 +164,15 @@ class TestRunScaling:
         assert (tmp_path / "rect_fit.dat").exists()
 
     def test_insufficient_points_propagates(self):
+        # two 1/v values cannot make a fit: refused before any cell is drawn
         cfg = small_config(inv_v_grid=(1e-3, 1e-2))
-        with pytest.raises(InsufficientPoints):
+        with pytest.raises(ValueError, match="fit window"):
             run_scaling(cfg)
+
+    def test_points_excluded_by_stderr_are_insufficient(self):
+        # two realizations per cell: every point fails the stderr rule
+        with pytest.raises(InsufficientPoints):
+            run_scaling(small_config(realizations=2))
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from scipy.linalg import expm
 from pulselab import (GridMismatch, NoiseRealization, TimeGrid,
                       build_time_grid, evolve, evolve_ensemble,
                       frobenius_from_unitary, ideal_pulse)
-from pulselab.propagator import SIGMA_X, SIGMA_Z, unitary_of_quaternion
+from pulselab.propagator import (P_SERIES_MAX, SIGMA_X, SIGMA_Z,
+                                 unitary_of_quaternion)
 from pulselab.pulses import PiecewiseConstantPulse, PulseSegment
 
 NAMES = ["RECT", "CORPSE", "SCORPSE", "CLASS2ND", "SYM2ND", "ASYM2ND"]
@@ -155,8 +156,12 @@ class TestEvolve:
 
 
 class TestEnsembleEvolution:
-    @given(name=st.sampled_from(NAMES), tau_p=st.floats(0.05, 3.0),
-           n_steps=st.integers(6, 80), m=st.integers(1, 4),
+    # the short grids take the exact trigonometry on most steps; the long
+    # grids and the short pulses reach the p-series
+    @given(name=st.sampled_from(NAMES),
+           tau_p=st.one_of(st.floats(0.05, 3.0), st.floats(1e-3, 0.05)),
+           n_steps=st.one_of(st.integers(6, 80), st.integers(256, 1024)),
+           m=st.integers(1, 4),
            scale=st.sampled_from([0.0, 1e-9, 0.1, 1.0, 10.0]),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -171,6 +176,47 @@ class TestEnsembleEvolution:
             np.testing.assert_allclose(u, ref, rtol=0, atol=1e-12)
             res = evolve(p, NoiseRealization(grid, block[:, k]))
             np.testing.assert_allclose(res.u_total, ref, rtol=0, atol=1e-12)
+
+    def test_step_straddling_series_bound(self):
+        # one step of phase^2 p = (eta^2 + v^2) dt^2 on both sides of P_SERIES_MAX
+        tau_p, n = 1.0, 16
+        p = constant_pulse(0.5 * math.pi, tau_p)
+        grid = TimeGrid.uniform(tau_p, n)
+        dt, v = tau_p / n, 0.5 * math.pi / tau_p
+        phase = math.sqrt(P_SERIES_MAX) * np.array([0.0, 0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 5.0])
+        eta = np.sqrt(np.maximum(phase**2 / dt**2 - v**2, 0.0)) * [1, -1, 1, -1, 1, -1, 1, -1]
+        step_p = (eta**2 + v**2) * dt**2
+        assert (step_p <= P_SERIES_MAX).any() and (step_p > P_SERIES_MAX).any()
+        block = np.tile(eta, (n, 1))
+        w, x, y, z = evolve_ensemble(p, grid, block)
+        for k in range(eta.size):
+            u = unitary_of_quaternion(w[k], x[k], y[k], z[k])
+            np.testing.assert_allclose(u, expm_product(p, grid, block[:, k]),
+                                       rtol=0, atol=1e-12)
+            alone = evolve_ensemble(p, grid, block[:, k:k + 1])
+            assert all(a[0] == b[k] for a, b in zip(alone, (w, x, y, z)))
+
+    def test_huge_noise_takes_exact_route_without_warning(self):
+        # eta^2 overflows p to inf (a RuntimeWarning is an error here)
+        p = constant_pulse(0.5 * math.pi)
+        grid = TimeGrid.uniform(1.0, 4)
+        block = np.tile([1e160, -1e160, 0.1], (grid.n_steps, 1))
+        w, x, y, z = evolve_ensemble(p, grid, block)
+        np.testing.assert_allclose(w**2 + x**2 + y**2 + z**2, 1.0, rtol=0, atol=1e-12)
+        alone = evolve_ensemble(p, grid, block[:, 2:])
+        assert all(a[0] == b[2] for a, b in zip(alone, (w, x, y, z)))
+
+    @pytest.mark.parametrize("scale", [0.3, 30.0])
+    def test_block_of_chunks_matches_chunks(self, catalog, scale):
+        # scale 30 puts some realizations of a step above the series bound
+        p = catalog["CORPSE"].with_duration(0.5)
+        grid = build_time_grid(p, 256)
+        chunks = scale * np.random.default_rng(4).normal(size=(3, grid.n_steps, 50))
+        grouped = evolve_ensemble(p, grid, chunks.transpose(1, 0, 2))
+        for c in range(3):
+            one = evolve_ensemble(p, grid, chunks[c])
+            for a, b in zip(one, grouped):
+                assert np.array_equal(a, b[c])
 
     def test_shape_mismatch(self, catalog):
         p = catalog["RECT"].with_duration(1.0)

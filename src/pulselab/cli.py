@@ -25,10 +25,10 @@ import sys
 import numpy as np
 
 from . import harness, magnus
-from .errors import PulselabError
+from .errors import CatalogInvalid, PulselabError
 from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN, TimeGrid,
                     build_sampler)
-from .pulses import load_catalog, save_catalog, validate_catalog
+from .pulses import load_catalog, require_valid, save_catalog, validate_catalog
 
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
@@ -197,8 +197,18 @@ def _load_catalog(conf: dict):
         raise ConfigError(f"cannot load catalog: {exc}")
 
 
+def _valid_catalog(conf: dict):
+    """The loaded catalog, refused as a configuration error unless every
+    ``catalog-validate`` check passes; the error names the first failure."""
+    try:
+        return require_valid(_load_catalog(conf))
+    except CatalogInvalid as exc:
+        pulse, check, _, detail = exc.report.failures[0]
+        raise ConfigError(f"invalid catalog: {pulse} {check}: {detail}")
+
+
 def _cmd_scaling(conf: dict) -> int:
-    catalog = _load_catalog(conf)
+    catalog = _valid_catalog(conf)
     names = [_known_pulse(catalog, s.strip())
              for s in str(_get(conf, "pulses", "rect,corpse,scorpse")).split(",")]
     model = _model_from(conf)
@@ -226,7 +236,7 @@ def _cmd_scaling(conf: dict) -> int:
 
 
 def _cmd_prefactor(conf: dict) -> int:
-    catalog = _load_catalog(conf)
+    catalog = _valid_catalog(conf)
     name = _known_pulse(catalog, str(_get(conf, "pulse", "corpse")))
     model = _model_from(conf)
     rows = harness.run_prefactor_check(
@@ -250,7 +260,7 @@ def _cmd_prefactor(conf: dict) -> int:
 
 
 def _cmd_nogo(conf: dict) -> int:
-    catalog = _load_catalog(conf)
+    catalog = _valid_catalog(conf)
     name = _known_pulse(catalog, str(_get(conf, "pulse", "scorpse")))
     grid_n = int(_get(conf, "grid", 1024))
     model = None
@@ -306,11 +316,10 @@ def _cmd_noise_validate(conf: dict) -> int:
     grid = TimeGrid.uniform(span, n)
     sampler = build_sampler(model, grid, seed)
     # deviations from the mean eta0, whose covariance is the target, summed
-    # over chunks of DEFAULT_CHUNK realizations (chunk c from stream (c,))
-    chunk = harness.DEFAULT_CHUNK
+    # over the blocks of the sweep's draw loop (chunk c from stream (c,))
     sums, products = np.zeros(n), np.zeros((n, n))
-    for c, start in enumerate(range(0, m, chunk)):
-        block = sampler.sample_block(min(chunk, m - start), stream=(c,)) - model.eta0
+    for block in harness._draws(sampler, m, harness.DEFAULT_CHUNK, 1, ()):
+        block = block.reshape(n, -1) - model.eta0
         sums += block.sum(axis=1)
         products += block @ block.T
     sample_cov = products / m

@@ -9,13 +9,16 @@ fixed-size chunks whose RNG streams derive from (seed, cell, chunk), so
 results are bit-reproducible for a given configuration regardless of worker
 count or scheduling.
 
-A cell's full chunks run in groups of min(workers, full chunks).  Worker
-threads draw a group's blocks into one (group, n_steps, chunk) buffer (the
-Philox fill and the Gaussian matmul release the GIL); the calling thread then
-evolves the group as one (n_steps, group, chunk) block.  The step loop thus
-runs once per group, in one thread: run on several threads, its many small
-ufunc calls hand the GIL back and forth and run slower than one after the
-other.  A remainder chunk runs alone.
+One draw loop, `_draws`, owns the chunk schedule of every noise block: the
+chunk sizes, their order and their streams.  A cell's full chunks come in
+groups of min(workers, full chunks).  Worker threads draw a group's blocks
+into one (group, n_steps, chunk) buffer (the Philox fill and the Gaussian
+matmul release the GIL); the calling thread then evolves the group as one
+(n_steps, group, chunk) block.  The step loop thus runs once per group, in
+one thread: run on several threads, its many small ufunc calls hand the GIL
+back and forth and run slower than one after the other.  The remainder comes
+last, as a short group of one narrower chunk drawn into the head of the same
+buffer.  `noise-validate` sums the same blocks.
 
 One sweep, `_sweep`, walks the cells of a `ScalingExperimentConfig`:
 `run_scaling` fits them and `run_prefactor_check` compares a one-pulse sweep
@@ -157,17 +160,7 @@ class ScalingResult:
             "realizations": self.config.realizations,
             "steps_per_pulse": self.config.steps_per_pulse,
             "fit_window": list(self.config.window),
-            "fits": {
-                name: {
-                    "slope": fit.slope,
-                    "slope_err": fit.slope_err,
-                    "intercept": fit.intercept,
-                    "intercept_err": fit.intercept_err,
-                    "n_used": fit.n_used,
-                    "excluded": [list(e) for e in fit.excluded],
-                }
-                for name, fit in self.fits.items()
-            },
+            "fits": {name: asdict(fit) for name, fit in self.fits.items()},
         }
 
     def write(self, outdir: str) -> None:
@@ -209,8 +202,9 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
     """Fit log10(mean DF) vs log10(1/v) from (inv_v, mean_df2, stderr_df2) rows.
 
     The uncertainty of log10 DF follows from the delta method,
-    sigma_log = stderr_df2 / (2 mean_df2 ln 10); points outside the window or
-    with relative standard error of DF above ``REL_STDERR_MAX`` are excluded.
+    sigma_log = stderr_df2 / (2 mean_df2 ln 10); points outside the window,
+    with a zero standard error or with relative standard error of DF above
+    ``REL_STDERR_MAX`` are excluded.
     """
     usable = []
     excluded = []
@@ -220,6 +214,10 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
             continue
         if mean_df2 <= 0:
             excluded.append((inv_v, "non-positive mean"))
+            continue
+        if stderr_df2 == 0:
+            # every realization gave the same DF^2: the point has no weight
+            excluded.append((inv_v, "zero standard error"))
             continue
         rel_df = stderr_df2 / (2.0 * mean_df2)   # relative stderr of DF
         if rel_df > REL_STDERR_MAX:
@@ -252,42 +250,49 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
 _CELL_KEYS = ("df2", "partial_x", "partial_y", "partial_z")
 
 
+def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: int,
+           stream: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """`realizations` draws of `sampler` as (n_steps, count, width) blocks.
+
+    Chunk c holds `chunk_size` realizations from stream (*stream, c).  The
+    full chunks come in groups of min(workers, full chunks), drawn by that
+    many threads; the remainder comes last, as a group of one narrower chunk.
+    Every group is drawn into the C-contiguous head of one buffer, so a
+    yielded block is overwritten by the next one.
+    """
+    n_steps = sampler.grid.n_steps
+    full, rest = divmod(realizations, chunk_size)
+    group = max(1, min(workers, full))
+    groups = [(c0, min(group, full - c0), chunk_size) for c0 in range(0, full, group)]
+    if rest:
+        groups.append((full, 1, rest))
+    buf = np.empty(group * n_steps * min(chunk_size, realizations))
+    with ThreadPoolExecutor(max_workers=group) as pool:
+        for c0, count, width in groups:
+            block = buf[:count * n_steps * width].reshape(count, n_steps, width)
+            # list() reads every result, so a failed draw raises here
+            list(pool.map(lambda j: sampler.sample_block(
+                width, stream=(*stream, c0 + j), out=block[j]), range(count)))
+            yield block.transpose(1, 0, 2)
+
+
 def _run_cell(pulse: PiecewiseConstantPulse, grid: TimeGrid, sampler: NoiseSampler,
               cell_index: int, realizations: int, chunk_size: int = DEFAULT_CHUNK,
               workers: int = 1, rows: Optional[np.ndarray] = None
               ) -> dict[str, MonteCarloEstimate]:
-    """Draw, evolve, reduce and accumulate the realizations of one cell.
+    """Evolve, reduce and accumulate the realizations of one cell.
 
-    Chunk c draws its block from stream (cell_index, c) of `sampler`.  The
-    full chunks run in groups of min(workers, full chunks): worker threads
-    draw the group's blocks into one (group, n_steps, chunk) buffer, and the
-    calling thread evolves the whole group in one pass.  The remainder chunk
-    runs alone.  With `rows` given, only those rows of the sampler's grid
-    reach `grid`: a coarser grid whose midpoints are a subset of the
-    sampler's then sees exact subsamples of the finer draws.
+    The blocks come from `_draws` on stream (cell_index,), and the calling
+    thread evolves each group in one pass.  With `rows` given, only those
+    rows of the sampler's grid reach `grid`: a coarser grid whose midpoints
+    are a subset of the sampler's then sees exact subsamples of the finer
+    draws.
     """
-    full, rest = divmod(realizations, chunk_size)
     parts = []
-
-    def reduce(eta: np.ndarray) -> None:
+    for eta in _draws(sampler, realizations, chunk_size, workers, (cell_index,)):
         if rows is not None:
             eta = eta[rows]
         parts.append(ensemble_frobenius(*evolve_ensemble(pulse, grid, eta)))
-
-    if full:
-        group = min(workers, full)
-        buf = np.empty((group, sampler.grid.n_steps, chunk_size))
-        with ThreadPoolExecutor(max_workers=group) as pool:
-            for c0 in range(0, full, group):
-                block = buf[:min(group, full - c0)]
-                # list() reads every result, so a failed draw raises here
-                list(pool.map(lambda j: sampler.sample_block(
-                    chunk_size, stream=(cell_index, c0 + j), out=block[j]),
-                    range(len(block))))
-                reduce(block.transpose(1, 0, 2))
-        del buf, block                   # freed before the remainder is drawn
-    if rest:
-        reduce(sampler.sample_block(rest, stream=(cell_index, full)))
     return {k: accumulate_values(np.concatenate([p[k].ravel() for p in parts]))
             for k in _CELL_KEYS}
 

@@ -34,11 +34,11 @@ from scipy.integrate import quad  # noqa: F401  unused; the benchmark tracer wra
 from scipy.optimize import least_squares  # noqa: F401  unused; the benchmark tracer wraps magnus.least_squares
 from scipy.optimize import minimize
 
-from .errors import GridMismatch, NoFeasiblePoint
+from .errors import NoFeasiblePoint
 from .noise import MAX_DENSE_N, AutocorrelationModel, NoiseRealization, _stream_generator
 from .pulses import (PiecewiseConstantPulse, PulseSegment, _layout, _primitive_table,
-                     _require_first_order, _shape_sums, first_order_integrals,
-                     grid_is_aligned, load_catalog)
+                     _require_aligned, _require_first_order, _shape_sums,
+                     first_order_integrals, load_catalog)
 
 FEASIBILITY_TOL = 1e-8
 
@@ -76,8 +76,7 @@ def first_order_terms(pulse: PiecewiseConstantPulse,
     Step i adds eta_i times int e^{i psi} dt over the step, the dF of the
     primitive table built on the grid's steps; the sums are exactly rounded.
     """
-    if not grid_is_aligned(pulse, noise.grid):
-        raise GridMismatch("noise grid does not resolve the pulse's switching instants")
+    _require_aligned(pulse, noise.grid)
     grid = noise.grid
     table = _primitive_table(grid.widths.tolist(),
                              (2.0 * pulse.amplitudes_on(grid.midpoints)).tolist(),
@@ -145,8 +144,7 @@ def _ordered_sums(f: np.ndarray) -> np.ndarray:
 def evaluate_mu2x(pulse: PiecewiseConstantPulse, noise: NoiseRealization) -> float:
     """Midpoint double Riemann sum of eta(t1) eta(t2) sin[psi(t1)-psi(t2)]
     over t2 < t1, evaluated in O(N) with prefix sums."""
-    if not grid_is_aligned(pulse, noise.grid):
-        raise GridMismatch("noise grid does not resolve the pulse's switching instants")
+    _require_aligned(pulse, noise.grid)
     grid = noise.grid
     psi = pulse.angles_on(grid.midpoints)
     weights = noise.values * grid.widths

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .noise import NoiseRealization, TimeGrid
-from .pulses import PiecewiseConstantPulse, grid_is_aligned
+from .pulses import PiecewiseConstantPulse, _require_aligned
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -102,11 +102,7 @@ def _step_product(pulse: PiecewiseConstantPulse, grid: TimeGrid,
     ``batch``.  A realization's result depends on its own column alone, so a
     (n_steps, C, m) block evolves bit-identically to its C chunks one by one.
     """
-    if not grid_is_aligned(pulse, grid):
-        raise GridMismatch(
-            f"grid (span {grid.tau_p}) does not resolve every switching "
-            f"instant of {pulse.name} (tau_p {pulse.tau_p})"
-        )
+    _require_aligned(pulse, grid)
     if eta_block.shape[0] != grid.n_steps:
         raise GridMismatch(
             f"noise block has {eta_block.shape[0]} rows for {grid.n_steps} steps")

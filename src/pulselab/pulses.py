@@ -26,7 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import CatalogInvalid, NotFirstOrder, OutOfRangeError
+from .errors import CatalogInvalid, GridMismatch, NotFirstOrder, OutOfRangeError
 from .noise import TimeGrid, _subdivide
 
 ANGLE_TOL = 1e-9
@@ -41,8 +41,6 @@ FIRST_ORDER_TOL = 1e-9
 SERIES_MAX_ANGLE = 0.1
 #: 1/(n+3)! for n = 9..0, enough for full precision below SERIES_MAX_ANGLE
 _SERIES_COEFFS = tuple(1.0 / math.factorial(n + 3) for n in range(9, -1, -1))
-
-CATALOG_NAMES = ("RECT", "CORPSE", "SCORPSE", "CLASS2ND", "SYM2ND", "ASYM2ND")
 
 
 @dataclass(frozen=True)
@@ -360,6 +358,13 @@ def grid_is_aligned(pulse: PiecewiseConstantPulse, grid: TimeGrid) -> bool:
         return False
     b = grid.boundaries
     return all(np.any(b == t) for t in pulse.switching_instants)
+
+
+def _require_aligned(pulse: PiecewiseConstantPulse, grid: TimeGrid) -> None:
+    """Raise GridMismatch unless ``grid_is_aligned(pulse, grid)``."""
+    if not grid_is_aligned(pulse, grid):
+        raise GridMismatch(f"grid (span {grid.tau_p}) does not resolve every switching "
+                           f"instant of {pulse.name} (tau_p {pulse.tau_p})")
 
 
 def build_time_grid(pulse: PiecewiseConstantPulse, n_steps: int) -> TimeGrid:

@@ -2,10 +2,17 @@
 
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
+from pulselab import AutocorrelationModel, TimeGrid, build_sampler, harness
 from pulselab.cli import main
+
+#: one order-1 pulse turning by 2 pi: S = C = 0, but it is not a pi pulse
+TWO_PI_CATALOG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                              "two_pi_catalog.json")
 
 
 def run(args):
@@ -26,6 +33,17 @@ class TestCatalogValidate:
         path.write_text(json.dumps(bad))
         assert run(["catalog-validate", "--catalog", str(path)]) == 3
 
+    def test_commands_name_the_first_failed_check(self, tmp_path, capsys):
+        assert run(["nogo", "--catalog", TWO_PI_CATALOG, "--pulse", "twopi",
+                    "--grid", "64", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: invalid catalog: TWOPI total-angle: "
+            "|psi(tau_p) - pi| = 3.14e+00\n")
+        # catalog-validate still prints the whole report
+        assert run(["catalog-validate", "--catalog", TWO_PI_CATALOG]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out] == ["FAIL", "PASS", "PASS"]
+
 
 class TestScaling:
     def test_small_run_writes_outputs(self, tmp_path, capsys):
@@ -41,6 +59,16 @@ class TestScaling:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["fits"]) == {"RECT", "CORPSE"}
         assert abs(summary["fits"]["RECT"]["slope"] - 1.0) < 0.15
+
+    def test_zero_standard_error_is_numerical_error(self, tmp_path, capsys):
+        # eta0 = 1e160 swamps the noise: every realization of a cell gives the
+        # same DF, so each point is excluded and the fit has none left
+        code = run(["scaling", "--model", "exponential", "--gamma", "0.01",
+                    "--eta0", "1e160", "--pulses", "rect", "--realizations", "50",
+                    "--steps", "16", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: numerical: ")
 
     def test_unknown_pulse_is_config_error(self, tmp_path):
         code = run(["scaling", "--model", "gaussian", "--gamma", "0.1",
@@ -212,6 +240,30 @@ class TestOtherSubcommands:
         assert payload["realizations"] == 9000
         assert payload["max_cov_sigma"] < 5.0 and payload["max_mean_sigma"] < 5.0
 
+    @pytest.mark.parametrize("model, gamma", [("gaussian", "0.5"), ("exponential", "1.0")])
+    def test_noise_validate_draw_layout(self, tmp_path, model, gamma):
+        # chunk c of harness.DEFAULT_CHUNK realizations draws from stream (c,),
+        # and the last chunk is short
+        chunk = harness.DEFAULT_CHUNK
+        m, n, seed = 2 * chunk + 37, 8, 3
+        assert run(["noise-validate", "--model", model, "--gamma", gamma,
+                    "--steps", str(n), "--realizations", str(m), "--seed", str(seed),
+                    "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "noise_validate.json").read_text())
+        noise = AutocorrelationModel(model, gamma=float(gamma))
+        sampler = build_sampler(noise, TimeGrid.uniform(1.0, n), seed)
+        sums, products = np.zeros(n), np.zeros((n, n))
+        for c, start in enumerate(range(0, m, chunk)):
+            block = sampler.sample_block(min(chunk, m - start), stream=(c,)) - noise.eta0
+            sums += block.sum(axis=1)
+            products += block @ block.T
+        target = sampler.covariance
+        se_cov = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / m)
+        assert payload == {
+            "max_cov_sigma": float(np.abs((products / m - target) / se_cov).max()),
+            "max_mean_sigma": float(np.abs(sums / m / np.sqrt(np.diag(target) / m)).max()),
+            "realizations": m, "steps": n}
+
     @pytest.mark.parametrize("args", [
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
          "--realizations", "1"],
@@ -273,6 +325,14 @@ class TestOtherSubcommands:
          "--inv-v", "1e-4,2e-4,3e-4"],
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect,corpse",
          "--inv-v", "1e-3,2e-3,5e-2,6e-2"],
+        # a catalog that catalog-validate rejects is refused before it is used
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--catalog", TWO_PI_CATALOG,
+         "--pulses", "twopi", "--inv-v", "1e-3,3e-3,1e-2", "--realizations", "100",
+         "--steps", "16"],
+        ["prefactor", "--model", "exponential", "--gamma", "0.01", "--catalog",
+         TWO_PI_CATALOG, "--pulse", "twopi", "--inv-v", "1e-2", "--realizations", "100",
+         "--steps", "16"],
+        ["nogo", "--catalog", TWO_PI_CATALOG, "--pulse", "twopi", "--grid", "64"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
@@ -286,7 +346,8 @@ class TestOtherSubcommands:
             "noise-validate-zero-span", "noise-validate-negative-span",
             "prefactor-duplicate-inv-v", "nogo-not-first-order",
             "scaling-empty-inv-v", "prefactor-empty-inv-v", "scaling-two-points",
-            "scaling-below-fit-window", "scaling-two-in-fit-window"])
+            "scaling-below-fit-window", "scaling-two-in-fit-window",
+            "scaling-invalid-catalog", "prefactor-invalid-catalog", "nogo-invalid-catalog"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()

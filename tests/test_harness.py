@@ -1,5 +1,6 @@
 """Tests for the scaling harness: fits, reproducibility, serialization."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -59,6 +60,17 @@ class TestFitExponent:
         fit = fit_exponent(pts + [bad], (1e-3, 1e-1))
         assert any("relative stderr" in reason for _, reason in fit.excluded)
         np.testing.assert_allclose(fit.slope, clean.slope, atol=1e-3)
+
+    def test_zero_stderr_point_is_excluded(self):
+        # a cell whose realizations all gave the same DF has no weight
+        rng = np.random.default_rng(8)
+        xs = np.geomspace(1e-3, 1e-1, 8)
+        df = 0.3 * xs**1.5 * np.exp(rng.normal(0, 0.01, xs.size))
+        pts = [(x, d * d, 0.02 * d * d) for x, d in zip(xs, df)]
+        zero = (0.01 * 1.11, 1e-6, 0.0)
+        fit = fit_exponent(pts + [zero], (1e-3, 1e-1))
+        assert fit.excluded == ((zero[0], "zero standard error"),)
+        assert dataclasses.replace(fit, excluded=()) == fit_exponent(pts, (1e-3, 1e-1))
 
     def test_window_filtering(self):
         xs = np.geomspace(1e-4, 1.0, 10)

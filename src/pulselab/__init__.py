@@ -8,23 +8,18 @@ autocorrelation and the impossibility of designing it away.
 """
 
 from .errors import (CatalogInvalid, EigenvalueTooNegative, GridMismatch,
-                     InsufficientPoints, MissingTrajectory, NoFeasiblePoint,
-                     NotFirstOrder, NotUnitary, OutOfRangeError, PulselabError)
-from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN,
-                    NoiseRealization, NoiseSampler, TimeGrid, build_sampler)
+                     InsufficientPoints, NoFeasiblePoint, NotFirstOrder,
+                     OutOfRangeError, PulselabError)
+from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN, NoiseSampler,
+                    TimeGrid, build_sampler)
 from .pulses import (PiecewiseConstantPulse, PulseCatalog, PulseSegment,
                      build_time_grid, first_order_integrals, load_catalog,
                      save_catalog, truncate_pulse, validate_catalog)
-from .propagator import (Trajectory, UnitaryResult, evolve, evolve_ensemble,
-                         ideal_pulse)
-from .metrics import (FrobeniusSample, MonteCarloEstimate, accumulate_values,
-                      ensemble_frobenius, frobenius_from_unitary,
-                      polarization_deviation)
-from .magnus import (MagnusFirstOrder, NoGoReport, evaluate_i1, evaluate_i32,
-                     evaluate_mu2x, first_moment_integrals, first_order_terms,
+from .propagator import evolve_ensemble
+from .metrics import MonteCarloEstimate, accumulate_values, ensemble_frobenius
+from .magnus import (NoGoReport, evaluate_i1, evaluate_i32, first_moment_integrals,
                      minimize_i32, ordered_sine_integral, verify_nogo)
-from .harness import (ConvergenceReport, FitResult, PrefactorRow,
-                      ScalingExperimentConfig, ScalingResult, fit_exponent,
-                      run_convergence_check, run_prefactor_check, run_scaling)
+from .harness import (FitResult, PrefactorRow, ScalingExperimentConfig, ScalingResult,
+                      fit_exponent, run_prefactor_check, run_scaling)
 
 __version__ = "0.1.0"

@@ -160,10 +160,15 @@ def _model_from(conf: dict) -> AutocorrelationModel:
                                                eta0=("eta0", float)))
 
 
-def _inv_v_values(text) -> tuple[float, ...]:
+def _tokens(value) -> list[str]:
+    """The non-empty items of a comma-list option: a JSON list or a comma string."""
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    return [tok for tok in (str(item).strip() for item in items) if tok]
+
+
+def _inv_v_values(value) -> tuple[float, ...]:
     """Explicit 1/v values in increasing order; the config refuses repeats."""
-    tokens = text if isinstance(text, (list, tuple)) else str(text).split(",")
-    return tuple(sorted(float(tok) for tok in tokens if str(tok).strip()))
+    return tuple(sorted(float(tok) for tok in _tokens(value)))
 
 
 def _inv_v_grid(conf: dict) -> tuple[float, ...]:
@@ -209,8 +214,8 @@ def _valid_catalog(conf: dict):
 
 def _cmd_scaling(conf: dict) -> int:
     catalog = _valid_catalog(conf)
-    names = [_known_pulse(catalog, s.strip())
-             for s in str(_get(conf, "pulses", "rect,corpse,scorpse")).split(",")]
+    names = [_known_pulse(catalog, tok)
+             for tok in _tokens(_get(conf, "pulses", "rect,corpse,scorpse"))]
     model = _model_from(conf)
     window = None
     if _get(conf, "fit_min") is not None or _get(conf, "fit_max") is not None:

@@ -25,14 +25,6 @@ class GridMismatch(PulselabError):
     """Time grid does not resolve every switching instant of the pulse."""
 
 
-class NotUnitary(PulselabError):
-    """Matrix failed the unitarity (or special-unitarity) tolerance."""
-
-
-class MissingTrajectory(PulselabError):
-    """State trajectory was not recorded for this evolution."""
-
-
 class NotFirstOrder(PulselabError, ValueError):
     """Pulse does not satisfy the first-order integral conditions (an invalid argument)."""
 

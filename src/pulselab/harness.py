@@ -22,9 +22,9 @@ buffer.  `noise-validate` sums the same blocks.
 
 One sweep, `_sweep`, walks the cells of a `ScalingExperimentConfig`:
 `run_scaling` fits them and `run_prefactor_check` compares a one-pulse sweep
-with the cubic law.  One cell runner, `_run_cell`, serves the sweep and both
-branches of the grid-convergence check.  Every fit, `.dat` file and cell
-reads mean DF^2, the quantity the analytic scaling laws predict.
+with the cubic law.  One cell runner, `_run_cell`, evolves every cell of the
+sweep.  Every fit, `.dat` file and cell reads mean DF^2, the quantity the
+analytic scaling laws predict.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import InsufficientPoints
 from .magnus import evaluate_i32
 from .metrics import MonteCarloEstimate, accumulate_values, ensemble_frobenius
 from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN, NoiseSampler,
-                    TimeGrid, build_sampler)
+                    build_sampler)
 from .propagator import evolve_ensemble
 from .pulses import (PiecewiseConstantPulse, PulseCatalog, _require_first_order,
                      build_time_grid, load_catalog)
@@ -55,10 +55,6 @@ MIN_FIT_POINTS = 3
 
 #: realizations per chunk; chunk c of cell k draws from RNG stream (k, c)
 DEFAULT_CHUNK = 2**12
-
-#: a convergence check passes below this relative drift of mean DF^2 between
-#: its two finest grids
-DRIFT_TOL = 5e-3
 
 DEFAULT_FIT_WINDOWS = {
     GAUSSIAN: (1e-3, 1e-1),
@@ -84,7 +80,10 @@ class ScalingExperimentConfig:
             raise ValueError("inv_v_grid must be non-empty, positive, finite and "
                              "strictly increasing")
         object.__setattr__(self, "inv_v_grid", iv)
-        object.__setattr__(self, "pulses", tuple(p.upper() for p in self.pulses))
+        names = tuple(p.upper() for p in self.pulses)
+        if not names or len(set(names)) < len(names):
+            raise ValueError("pulses must be non-empty, with no name repeated")
+        object.__setattr__(self, "pulses", names)
         if self.realizations < 2:
             raise ValueError("need at least 2 realizations")
         if self.chunk_size < 1:
@@ -204,7 +203,8 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
     The uncertainty of log10 DF follows from the delta method,
     sigma_log = stderr_df2 / (2 mean_df2 ln 10); points outside the window,
     with a zero standard error or with relative standard error of DF above
-    ``REL_STDERR_MAX`` are excluded.
+    ``REL_STDERR_MAX`` are excluded.  Raises InsufficientPoints when the
+    usable points hold fewer than ``MIN_FIT_POINTS`` distinct 1/v values.
     """
     usable = []
     excluded = []
@@ -224,10 +224,10 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
             excluded.append((inv_v, f"relative stderr {rel_df:.1%} > {REL_STDERR_MAX:.0%}"))
             continue
         usable.append((inv_v, mean_df2, stderr_df2))
-    if len(usable) < MIN_FIT_POINTS:
-        raise InsufficientPoints(
-            f"{len(usable)} usable points after exclusion; need >= {MIN_FIT_POINTS}"
-        )
+    distinct = len({inv_v for inv_v, _, _ in usable})
+    if distinct < MIN_FIT_POINTS:
+        raise InsufficientPoints(f"{len(usable)} usable points at {distinct} distinct 1/v "
+                                 f"values after exclusion; need >= {MIN_FIT_POINTS}")
     arr = np.array(usable)
     # weighted least squares of log10 DF against log10(1/v)
     lx = np.log10(arr[:, 0])
@@ -276,23 +276,16 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
             yield block.transpose(1, 0, 2)
 
 
-def _run_cell(pulse: PiecewiseConstantPulse, grid: TimeGrid, sampler: NoiseSampler,
-              cell_index: int, realizations: int, chunk_size: int = DEFAULT_CHUNK,
-              workers: int = 1, rows: Optional[np.ndarray] = None
+def _run_cell(pulse: PiecewiseConstantPulse, sampler: NoiseSampler, cell_index: int,
+              realizations: int, chunk_size: int = DEFAULT_CHUNK, workers: int = 1
               ) -> dict[str, MonteCarloEstimate]:
     """Evolve, reduce and accumulate the realizations of one cell.
 
     The blocks come from `_draws` on stream (cell_index,), and the calling
-    thread evolves each group in one pass.  With `rows` given, only those
-    rows of the sampler's grid reach `grid`: a coarser grid whose midpoints
-    are a subset of the sampler's then sees exact subsamples of the finer
-    draws.
+    thread evolves each group on the sampler's grid in one pass.
     """
-    parts = []
-    for eta in _draws(sampler, realizations, chunk_size, workers, (cell_index,)):
-        if rows is not None:
-            eta = eta[rows]
-        parts.append(ensemble_frobenius(*evolve_ensemble(pulse, grid, eta)))
+    parts = [ensemble_frobenius(*evolve_ensemble(pulse, sampler.grid, eta))
+             for eta in _draws(sampler, realizations, chunk_size, workers, (cell_index,))]
     return {k: accumulate_values(np.concatenate([p[k].ravel() for p in parts]))
             for k in _CELL_KEYS}
 
@@ -305,7 +298,7 @@ def _sweep(config: ScalingExperimentConfig, catalog: PulseCatalog) -> Iterator[t
         scaled = catalog[name].for_inverse_amplitude(inv_v)
         grid = build_time_grid(scaled, config.steps_per_pulse)
         sampler = build_sampler(config.model, grid, config.seed)
-        yield name, inv_v, scaled, _run_cell(scaled, grid, sampler, k, config.realizations,
+        yield name, inv_v, scaled, _run_cell(scaled, sampler, k, config.realizations,
                                              config.chunk_size, config.workers)
 
 
@@ -335,7 +328,7 @@ def run_scaling(config: ScalingExperimentConfig,
     return result
 
 
-# -- prefactor and convergence checks -----------------------------------------
+# -- prefactor check -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -375,62 +368,3 @@ def run_prefactor_check(pulse_name: str, model: AutocorrelationModel,
     return [PrefactorRow(inv_v, est["df2"].mean_df2, est["df2"].stderr_df2,
                          4.0 / 3.0 * evaluate_i32(scaled, model))
             for _, inv_v, scaled, est in _sweep(config, catalog)]
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n_steps: int
-    mean_df2: float
-    stderr_df2: float
-    drift_vs_finest: float   # |mean - mean_finest| / mean_finest
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    rows: tuple[ConvergenceRow, ...]
-    passed: bool             # drift between the two finest grids < DRIFT_TOL
-    shared_draws: bool       # coarser grids subsample the finest realizations
-
-
-def run_convergence_check(pulse_name: str, model: AutocorrelationModel,
-                          inv_v: float, realizations: int, base_steps: int,
-                          refine_factors: Sequence[int] = (3, 3), seed: int = 0,
-                          catalog: Optional[PulseCatalog] = None) -> ConvergenceReport:
-    """Repeat one cell across grid refinements and report the mean-DF^2 drift.
-
-    With odd refinement factors every coarse midpoint is also a midpoint of
-    the finest grid, so coarse realizations are exact subsamples of the
-    finest draws (common random numbers); the drift is then measured far
-    below the Monte-Carlo noise of the individual means.  With any even
-    factor each grid is sampled independently.
-    """
-    catalog = catalog or load_catalog()
-    scaled = catalog[pulse_name].for_inverse_amplitude(inv_v)
-    grids = [build_time_grid(scaled, base_steps)]
-    for f in refine_factors:
-        grids.append(grids[-1].refined(int(f)))
-    shared = all(int(f) % 2 == 1 for f in refine_factors)
-
-    if shared:
-        # one sampler on the finest grid; grid i keeps the middle finest step
-        # of each of its steps, stride = product of the factors after i
-        sampler = build_sampler(model, grids[-1], seed)
-        means = []
-        for i, grid in enumerate(grids):
-            stride = math.prod(int(f) for f in refine_factors[i:])
-            keep = np.arange(grid.n_steps) * stride + (stride - 1) // 2
-            means.append(_run_cell(scaled, grid, sampler, 0, realizations,
-                                   rows=keep)["df2"])
-    else:
-        means = [_run_cell(scaled, grid, build_sampler(model, grid, seed), gi,
-                           realizations)["df2"]
-                 for gi, grid in enumerate(grids)]
-
-    finest_mean = means[-1].mean_df2
-    rows = tuple(
-        ConvergenceRow(grid.n_steps, est.mean_df2, est.stderr_df2,
-                       abs(est.mean_df2 - finest_mean) / finest_mean)
-        for grid, est in zip(grids, means)
-    )
-    passed = rows[-2].drift_vs_finest < DRIFT_TOL if len(rows) >= 2 else True
-    return ConvergenceReport(rows, passed, shared)

@@ -35,22 +35,13 @@ from scipy.optimize import least_squares  # noqa: F401  unused; the benchmark tr
 from scipy.optimize import minimize
 
 from .errors import NoFeasiblePoint
-from .noise import MAX_DENSE_N, AutocorrelationModel, NoiseRealization, _stream_generator
-from .pulses import (PiecewiseConstantPulse, PulseSegment, _layout, _primitive_table,
-                     _require_aligned, _require_first_order, _shape_sums,
-                     first_order_integrals, load_catalog)
+from .noise import MAX_DENSE_N, AutocorrelationModel, _stream_generator
+from .pulses import (PiecewiseConstantPulse, PulseSegment, _layout, _require_first_order,
+                     _shape_sums, first_order_integrals, load_catalog)
 
 FEASIBILITY_TOL = 1e-8
 
 DEFAULT_V_MAX_TAUP = 4.0 * math.pi
-
-
-@dataclass(frozen=True)
-class MagnusFirstOrder:
-    """First-order Magnus components for one noise realization."""
-
-    mu_y: float   # int eta(t) sin psi(t) dt
-    mu_z: float   # int eta(t) cos psi(t) dt
 
 
 @dataclass(frozen=True)
@@ -64,26 +55,6 @@ class NoGoReport:
     identity_residual: float  # max |A - (tau C - B^dag B)/2| in kernel units
     i32_kernel: float        # I_3/2 / a via the B-norm route
     i32_discrete: Optional[float] = None  # with the model's cusp coefficient
-
-
-# -- step-exact first-order integrals -----------------------------------------
-
-
-def first_order_terms(pulse: PiecewiseConstantPulse,
-                      noise: NoiseRealization) -> MagnusFirstOrder:
-    """mu_y^(1), mu_z^(1) for a step-constant realization (exact per step).
-
-    Step i adds eta_i times int e^{i psi} dt over the step, the dF of the
-    primitive table built on the grid's steps; the sums are exactly rounded.
-    """
-    _require_aligned(pulse, noise.grid)
-    grid = noise.grid
-    table = _primitive_table(grid.widths.tolist(),
-                             (2.0 * pulse.amplitudes_on(grid.midpoints)).tolist(),
-                             pulse.angles_on(grid.boundaries).tolist())
-    terms = [eta * d_f for eta, (d_f, _, _, _) in zip(noise.values.tolist(), table)]
-    return MagnusFirstOrder(mu_y=math.fsum(t.imag for t in terms),
-                            mu_z=math.fsum(t.real for t in terms))
 
 
 # -- shape moments (closed forms, fraction units scaled by tau_p powers) -------
@@ -136,24 +107,12 @@ def evaluate_i32(pulse: PiecewiseConstantPulse, model: AutocorrelationModel) -> 
     return a * _i32_shape_kernel(pulse.segments) * pulse.tau_p**3
 
 
+# -- no-go verification --------------------------------------------------------
+
+
 def _ordered_sums(f: np.ndarray) -> np.ndarray:
     """sums[i] = sum_{j<i} f_j: the ordered sum t_j < t_i on an increasing grid."""
     return np.concatenate([[0.0], np.cumsum(f)[:-1]])
-
-
-def evaluate_mu2x(pulse: PiecewiseConstantPulse, noise: NoiseRealization) -> float:
-    """Midpoint double Riemann sum of eta(t1) eta(t2) sin[psi(t1)-psi(t2)]
-    over t2 < t1, evaluated in O(N) with prefix sums."""
-    _require_aligned(pulse, noise.grid)
-    grid = noise.grid
-    psi = pulse.angles_on(grid.midpoints)
-    weights = noise.values * grid.widths
-    phase = np.exp(1j * psi)
-    prefix = _ordered_sums(weights * phase.conj())
-    return float(np.imag(np.sum(weights * phase * prefix)))
-
-
-# -- no-go verification --------------------------------------------------------
 
 
 def verify_nogo(pulse: PiecewiseConstantPulse, grid_n: int,

@@ -7,8 +7,9 @@ distance between ideally and really evolved density matrices,
 
 which reduces to per-direction partials (DF^(a))^2 = 2[1 - Tr(rho_id rho_1)]
 and, for special-unitary correcting factors, to the rotation-invariant
-shortcut DF^2 = (4/3)[1 - (Re Tr U_c / 2)^2].  Both routes are computed and
-cross-checked on every call.
+shortcut DF^2 = (4/3)[1 - (Re Tr U_c / 2)^2].  ``ensemble_frobenius``
+evaluates the shortcut and the three partials from the quaternion components
+of the total propagators.
 
 For an initial state polarized along y, the final polarization deviation
 |<sigma_y> + 1| equals the y-partial (DF^(y))^2 exactly.
@@ -22,29 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MissingTrajectory, NotUnitary
-from .propagator import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, Trajectory
-
-UNITARITY_TOL = 1e-10
-IDENTITY_TOL = 1e-12
-
-_PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-_IDEAL_FINAL = {"x": 1.0, "y": -1.0, "z": -1.0}
-
 #: upper bound of DF^2 (attained when U_c is a pi rotation)
 DF2_MAX = 4.0 / 3.0
-
-
-@dataclass(frozen=True)
-class FrobeniusSample:
-    """One realization's squared Frobenius norm and its per-direction parts."""
-
-    delta_f_squared: float
-    partials: tuple[float, float, float]    # (x, y, z)
-
-    @property
-    def delta_f(self) -> float:
-        return math.sqrt(self.delta_f_squared)
 
 
 @dataclass(frozen=True)
@@ -53,35 +33,6 @@ class MonteCarloEstimate:
     stderr_df2: float
     mean_df: float   # sqrt(mean_df2), not the mean of DF
     realizations: int
-
-
-def frobenius_from_unitary(u_correcting: np.ndarray) -> FrobeniusSample:
-    """Partials from the polarized-state traces; total cross-checked twice.
-
-    Raises NotUnitary if U_c fails unitarity at 1e-10 or if the two
-    evaluation routes disagree beyond 1e-12 (which signals a non-special
-    unitary, e.g. a stray global phase).
-    """
-    u = np.asarray(u_correcting, dtype=complex)
-    defect = np.abs(u.conj().T @ u - IDENTITY).max()
-    if defect > UNITARITY_TOL:
-        raise NotUnitary(f"U^dag U deviates from identity by {defect:.2e}")
-
-    partials = []
-    for sigma in _PAULIS:
-        rho0 = 0.5 * (IDENTITY + sigma)
-        overlap = np.trace(rho0 @ u @ rho0 @ u.conj().T).real
-        # exact value is >= 0; round-off can land a hair below zero
-        partials.append(max(2.0 * (1.0 - overlap), 0.0))
-    total = sum(partials) / 3.0
-
-    shortcut = DF2_MAX * (1.0 - (0.5 * np.trace(u).real) ** 2)
-    if abs(total - shortcut) > IDENTITY_TOL:
-        raise NotUnitary(
-            f"trace route ({total:.3e}) and rotation-invariant route "
-            f"({shortcut:.3e}) disagree; U_c is not special-unitary"
-        )
-    return FrobeniusSample(total, (partials[0], partials[1], partials[2]))
 
 
 def ensemble_frobenius(w, x, y, z) -> dict[str, np.ndarray]:
@@ -99,28 +50,6 @@ def ensemble_frobenius(w, x, y, z) -> dict[str, np.ndarray]:
         "partial_y": 2.0 * (w * w + y * y),
         "partial_z": 2.0 * (w * w + z * z),
     }
-
-
-def polarization_deviation(trajectory: Trajectory, axis: str = "y"):
-    """Final |<sigma_axis> - ideal| plus the in-pulse polarization record.
-
-    The ideal final value after a pi flip about x is +1 for axis x (the
-    rotation axis) and -1 for y and z.
-    """
-    if trajectory is None:
-        raise MissingTrajectory("evolution was run without state tracking")
-    if axis not in _IDEAL_FINAL:
-        raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
-    expected0 = np.zeros(3)
-    expected0["xyz".index(axis)] = 1.0
-    if np.abs(trajectory.bloch[0] - expected0).max() > 1e-9:
-        raise ValueError(
-            f"trajectory does not start polarized along {axis}: {trajectory.bloch[0]}"
-        )
-    values = trajectory.component(axis)
-    final_deviation = abs(values[-1] - _IDEAL_FINAL[axis])
-    path = list(zip(trajectory.times.tolist(), values.tolist()))
-    return final_deviation, path
 
 
 def accumulate_values(values: Sequence[float]) -> MonteCarloEstimate:

@@ -132,12 +132,6 @@ class TimeGrid:
             raise ValueError(f"grid span must be positive and finite, got {tau_p!r}")
         return cls(np.linspace(0.0, tau_p, n_steps + 1))
 
-    def refined(self, factor: int) -> "TimeGrid":
-        """Split every step into `factor` uniform substeps (boundaries kept)."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        return _subdivide(self.boundaries, [factor] * self.n_steps)
-
 
 def _subdivide(points: np.ndarray, counts) -> TimeGrid:
     """The grid splitting interval k of `points` into counts[k] uniform steps."""
@@ -151,26 +145,6 @@ def _stream_generator(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based Philox generator of (seed, stream), whatever the draw order."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=stream)
     return np.random.Generator(np.random.Philox(seq))
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseRealization:
-    """One discretized sample path: eta(t) constant on step i, value values[i]."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.n_steps,):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid step count {self.grid.n_steps}"
-            )
-
-    @classmethod
-    def constant(cls, grid: TimeGrid, value: float) -> "NoiseRealization":
-        return cls(grid, np.full(grid.n_steps, float(value)))
 
 
 class NoiseSampler:

@@ -10,12 +10,10 @@ with h = sqrt(v^2 + eta^2); the full propagator is the time-ordered product
 U_tot = U_N ... U_2 U_1 (latest step leftmost).  No further integration error
 enters beyond the step-constant noise model itself.
 
-One kernel, ``_step_product``, evaluates that product for a whole block of
+One kernel, ``evolve_ensemble``, evaluates that product for a whole block of
 realizations at once in SU(2) quaternion components (w, x, y, z) with
 U = w 1 - i (x sx + y sy + z sz), which keeps tiny deviations from the ideal
-pulse representable without cancellation.  ``evolve_ensemble`` returns its
-final quaternions; ``evolve`` is its m = 1 case and can also record the Bloch
-vector of a given initial state after every step.
+pulse representable without cancellation.
 
 The step needs cos(phi) and sin(phi)/h with phi = h dt.  Both are taken from
 p = phi^2 = (eta^2 + v^2) dt^2, with no transcendental call, as the degree-4
@@ -37,19 +35,11 @@ block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
-
 import numpy as np
 
 from .errors import GridMismatch
-from .noise import NoiseRealization, TimeGrid
-from .pulses import PiecewiseConstantPulse, _require_aligned
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
+from .noise import TimeGrid
+from .pulses import PiecewiseConstantPulse, grid_is_aligned
 
 #: steps whose squared phase p = (h dt)^2 is at most this take the p-series
 P_SERIES_MAX = 0.01
@@ -58,29 +48,6 @@ P_SERIES_MAX = 0.01
 #: p^5/10! and p^5/11!, are below 2.8e-17 and 2.6e-18 for p <= P_SERIES_MAX
 _COS_SERIES = (1.0, -1.0 / 2, 1.0 / 24, -1.0 / 720, 1.0 / 40320)
 _SINC_SERIES = (1.0, -1.0 / 6, 1.0 / 120, -1.0 / 5040, 1.0 / 362880)
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Bloch vector of the evolved state after every step (and at t=0)."""
-
-    times: np.ndarray          # (N+1,)
-    bloch: np.ndarray          # (N+1, 3)
-
-    def component(self, axis: str) -> np.ndarray:
-        return self.bloch[:, "xyz".index(axis)]
-
-
-@dataclass(frozen=True, eq=False)
-class UnitaryResult:
-    u_total: np.ndarray
-    u_correcting: np.ndarray
-    trajectory: Optional[Trajectory] = None
-
-
-def ideal_pulse() -> np.ndarray:
-    """Instantaneous pi rotation about x: exp(-i pi/2 sx) = -i sx."""
-    return -1j * SIGMA_X.copy()
 
 
 def _series(p: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
@@ -93,16 +60,20 @@ def _series(p: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     return acc
 
 
-def _step_product(pulse: PiecewiseConstantPulse, grid: TimeGrid,
-                  eta_block: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """Quaternions (w, x, y, z) of the partial products, at t=0 and after each step.
+def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
+                    eta_block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Evolve many realizations at once.
 
-    ``eta_block`` has shape (n_steps, *batch): row i holds the step-i noise
-    values of every realization, and each quaternion component has shape
-    ``batch``.  A realization's result depends on its own column alone, so a
+    ``eta_block`` has shape (n_steps, *batch), e.g. (n_steps, m) or
+    (n_steps, C, m): row i holds the step-i noise values of every
+    realization.  Returns the quaternion components (w, x, y, z) of U_tot per
+    realization, each of shape ``batch``, with U = w 1 - i (x sx + y sy + z sz).
+    A realization's result depends on its own column alone, so a
     (n_steps, C, m) block evolves bit-identically to its C chunks one by one.
     """
-    _require_aligned(pulse, grid)
+    if not grid_is_aligned(pulse, grid):
+        raise GridMismatch(f"grid (span {grid.tau_p}) does not resolve every switching "
+                           f"instant of {pulse.name} (tau_p {pulse.tau_p})")
     if eta_block.shape[0] != grid.n_steps:
         raise GridMismatch(
             f"noise block has {eta_block.shape[0]} rows for {grid.n_steps} steps")
@@ -112,7 +83,6 @@ def _step_product(pulse: PiecewiseConstantPulse, grid: TimeGrid,
     x = np.zeros(batch)
     y = np.zeros(batch)
     z = np.zeros(batch)
-    yield w, x, y, z
     for eta, v, dt in zip(eta_block, pulse.amplitudes_on(grid.midpoints).tolist(),
                           grid.widths.tolist()):
         # a huge eta overflows p and the series to inf; the exact route takes it
@@ -134,45 +104,4 @@ def _step_product(pulse: PiecewiseConstantPulse, grid: TimeGrid,
                       c * x + sx * w - sz * y,
                       c * y - sx * z + sz * x,
                       c * z + sx * y + sz * w)
-        yield w, x, y, z
-
-
-def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
-                    eta_block: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Evolve many realizations at once.
-
-    ``eta_block`` has shape (n_steps, *batch), e.g. (n_steps, m) or
-    (n_steps, C, m): row i holds the step-i noise values of every
-    realization.  Returns the quaternion components (w, x, y, z) of U_tot per
-    realization, each of shape ``batch``, with U = w 1 - i (x sx + y sy + z sz).
-    """
-    for q in _step_product(pulse, grid, eta_block):
-        pass
-    return q
-
-
-def evolve(pulse: PiecewiseConstantPulse, noise: NoiseRealization,
-           initial_bloch=None) -> UnitaryResult:
-    """Evolve one noise realization through the pulse.
-
-    Returns the total propagator, the correcting factor P^dag U_tot relative
-    to the ideal instantaneous pulse, and (when ``initial_bloch`` is given)
-    the Bloch-vector trajectory of that initial state after every step.
-    """
-    grid = noise.grid
-    steps = _step_product(pulse, grid, noise.values[:, None])
-    quats = np.array(list(steps))[:, :, 0]           # (N+1, 4)
-    u_total = unitary_of_quaternion(*quats[-1])
-    trajectory = None
-    if initial_bloch is not None:
-        r0 = np.asarray(initial_bloch, dtype=float)
-        # U rho U^dag rotates r0 by the quaternion: r0 + w t + v x t, t = 2 v x r0
-        w, v = quats[:, :1], quats[:, 1:]
-        t = 2.0 * np.cross(v, r0)
-        trajectory = Trajectory(grid.boundaries.copy(), r0 + w * t + np.cross(v, t))
-    return UnitaryResult(u_total, ideal_pulse().conj().T @ u_total, trajectory)
-
-
-def unitary_of_quaternion(w, x, y, z) -> np.ndarray:
-    return np.array([[w - 1j * z, -y - 1j * x],
-                     [y - 1j * x, w + 1j * z]])
+    return w, x, y, z

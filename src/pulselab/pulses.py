@@ -11,10 +11,9 @@ each segment.  The closed forms read one array layout of a shape, (edges,
 amplitudes) from ``_layout``: the n + 1 segment boundaries and the n
 amplitude_taup values; psi at the edges is cumsum(2 a dx) (``_edge_angles``).
 Every segment integral of the package is a short sum over one table of
-closed-form primitives of F.  Built on a shape's layout, one pass over it
+closed-form primitives of F, built on a shape's layout: one pass over it
 gives S and C here and the moments, the ordered sine integral and the
-anomalous kernel in ``magnus`` (``_shape_sums``); built on a grid's steps, it
-gives the first-order Magnus integrals of ``magnus``.
+anomalous kernel in ``magnus`` (``_shape_sums``).
 """
 
 from __future__ import annotations
@@ -26,17 +25,17 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import CatalogInvalid, GridMismatch, NotFirstOrder, OutOfRangeError
+from .errors import CatalogInvalid, NotFirstOrder, OutOfRangeError
 from .noise import TimeGrid, _subdivide
 
 ANGLE_TOL = 1e-9
 FIRST_ORDER_TOL = 1e-9
 
-#: below this angle |b dx| of a segment or grid step the closed forms lose
-#: digits to cancellation (about 14 are left just above it) and Taylor series
-#: take over, as they do for most steps of a fine grid.  It lies under
-#: the smallest segment angle of the shipped shapes (0.499) and of the 3- to
-#: 5-segment designs that ``minimize_i32`` finds at seed 0 (above 0.9 at budget
+#: below this angle |b dx| of a segment the closed forms lose digits to
+#: cancellation (about 14 are left just above it) and Taylor series take over,
+#: as they do for a zero-amplitude segment.  It lies under the smallest
+#: segment angle of the shipped shapes (0.499) and of the 3- to 5-segment
+#: designs that ``minimize_i32`` finds at seed 0 (above 0.9 at budget
 #: 2000 x 3 restarts), so their S and C keep the bits of the closed form.
 SERIES_MAX_ANGLE = 0.1
 #: 1/(n+3)! for n = 9..0, enough for full precision below SERIES_MAX_ANGLE
@@ -358,13 +357,6 @@ def grid_is_aligned(pulse: PiecewiseConstantPulse, grid: TimeGrid) -> bool:
         return False
     b = grid.boundaries
     return all(np.any(b == t) for t in pulse.switching_instants)
-
-
-def _require_aligned(pulse: PiecewiseConstantPulse, grid: TimeGrid) -> None:
-    """Raise GridMismatch unless ``grid_is_aligned(pulse, grid)``."""
-    if not grid_is_aligned(pulse, grid):
-        raise GridMismatch(f"grid (span {grid.tau_p}) does not resolve every switching "
-                           f"instant of {pulse.name} (tau_p {pulse.tau_p})")
 
 
 def build_time_grid(pulse: PiecewiseConstantPulse, n_steps: int) -> TimeGrid:

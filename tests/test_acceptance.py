@@ -28,7 +28,7 @@ from pulselab import (AutocorrelationModel, ScalingExperimentConfig, TimeGrid,
                       verify_nogo)
 from pulselab.magnus import _i32_shape_kernel
 from pulselab.metrics import DF2_MAX
-from pulselab.propagator import SIGMA_X, SIGMA_Y, SIGMA_Z
+from reference import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 SEED = 7
 REALIZATIONS = 20000

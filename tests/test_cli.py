@@ -114,6 +114,22 @@ class TestScaling:
         assert run(flags + ["--out", str(out2)]) == 0
         assert (out1 / "scaling.csv").read_bytes() == (out2 / "scaling.csv").read_bytes()
 
+    def test_list_valued_config_options(self, tmp_path):
+        # pulses, like inv_v, may be a JSON list or a comma string
+        conf = {"model": "exponential", "gamma": 0.01, "pulses": ["rect", "corpse"],
+                "inv_v": [1e-3, 3e-3, 1e-2], "realizations": 400, "steps": 48}
+        cpath = tmp_path / "run.json"
+        cpath.write_text(json.dumps(conf))
+        out1 = tmp_path / "file"
+        assert run(["--config", str(cpath), "scaling", "--out", str(out1)]) == 0
+        flags = ["scaling", "--model", "exponential", "--gamma", "0.01",
+                 "--pulses", "rect,corpse", "--inv-v", "1e-3,3e-3,1e-2",
+                 "--realizations", "400", "--steps", "48"]
+        out2 = tmp_path / "flags"
+        assert run(flags + ["--out", str(out2)]) == 0
+        assert (out1 / "scaling.csv").read_bytes() == (out2 / "scaling.csv").read_bytes()
+        assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
+
     @pytest.mark.parametrize("key, value", [
         ("realisations", 5),        # misspelt option
         ("no_polarization", True),  # removed option
@@ -333,6 +349,9 @@ class TestOtherSubcommands:
          TWO_PI_CATALOG, "--pulse", "twopi", "--inv-v", "1e-2", "--realizations", "100",
          "--steps", "16"],
         ["nogo", "--catalog", TWO_PI_CATALOG, "--pulse", "twopi", "--grid", "64"],
+        # a pulse named twice, in any case, would run its cells twice
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect,RECT",
+         "--inv-v", "1e-3,3e-3,1e-2", "--realizations", "100", "--steps", "16"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
@@ -347,7 +366,8 @@ class TestOtherSubcommands:
             "prefactor-duplicate-inv-v", "nogo-not-first-order",
             "scaling-empty-inv-v", "prefactor-empty-inv-v", "scaling-two-points",
             "scaling-below-fit-window", "scaling-two-in-fit-window",
-            "scaling-invalid-catalog", "prefactor-invalid-catalog", "nogo-invalid-catalog"])
+            "scaling-invalid-catalog", "prefactor-invalid-catalog", "nogo-invalid-catalog",
+            "scaling-repeated-pulse"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()

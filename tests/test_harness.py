@@ -13,8 +13,7 @@ import pytest
 from pulselab import (AutocorrelationModel, InsufficientPoints, NotFirstOrder,
                       ScalingExperimentConfig, build_sampler, build_time_grid,
                       evaluate_i32, fit_exponent, harness, load_catalog,
-                      run_convergence_check, run_prefactor_check, run_scaling,
-                      verify_nogo)
+                      run_prefactor_check, run_scaling, verify_nogo)
 
 EXP = AutocorrelationModel("exponential", gamma=0.01)
 GAUSS = AutocorrelationModel("gaussian", gamma=0.1)
@@ -83,6 +82,11 @@ class TestFitExponent:
         with pytest.raises(InsufficientPoints):
             fit_exponent(pts, (1e-3, 1e-1))
 
+    def test_one_inv_v_value_is_insufficient(self):
+        # three usable points at one 1/v leave the slope undetermined
+        with pytest.raises(InsufficientPoints, match="1 distinct"):
+            fit_exponent([(1e-2, 1e-4, 1e-6)] * 3, (1e-3, 1e-1))
+
 
 class TestRunScaling:
     def test_known_exponents_small_scale(self):
@@ -131,14 +135,13 @@ class TestRunScaling:
         block_bytes = 8 * grid.n_steps * chunk
         tracemalloc.start()
         try:
-            est = harness._run_cell(pulse, grid, sampler, 0, 2 * chunk + 5, chunk,
-                                    workers=8)
+            est = harness._run_cell(pulse, sampler, 0, 2 * chunk + 5, chunk, workers=8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert pools == [2]
         assert 2 * block_bytes <= peak < 3 * block_bytes
-        assert est["df2"] == harness._run_cell(pulse, grid, sampler, 0, 2 * chunk + 5,
+        assert est["df2"] == harness._run_cell(pulse, sampler, 0, 2 * chunk + 5,
                                                chunk)["df2"]
 
     def test_fit_records_excluded_points(self):
@@ -195,6 +198,12 @@ class TestRunScaling:
             small_config(fit_window=(3e-2, 1e-3))
         with pytest.raises(ValueError):
             small_config(workers=0)
+
+    @pytest.mark.parametrize("pulses", [(), ("RECT", "CORPSE", "rect")],
+                             ids=["empty", "repeated"])
+    def test_pulse_list_must_be_nonempty_and_distinct(self, pulses):
+        with pytest.raises(ValueError, match="pulses"):
+            small_config(pulses=pulses)
 
 
 class TestPrefactorCheck:
@@ -255,16 +264,3 @@ class TestPrefactorCheck:
                 check()
             assert isinstance(info.value, ValueError)
 
-
-class TestConvergenceCheck:
-    def test_nested_odd_refinement(self):
-        rep = run_convergence_check("SCORPSE", EXP, 1e-2, 3000, 64, (3, 3), seed=3)
-        assert rep.shared_draws
-        assert rep.passed
-        drifts = [r.drift_vs_finest for r in rep.rows]
-        assert drifts[0] > drifts[1] > drifts[2] == 0.0
-
-    def test_even_refinement_resamples(self):
-        rep = run_convergence_check("RECT", EXP, 1e-2, 2000, 64, (2,), seed=3)
-        assert not rep.shared_draws
-        assert len(rep.rows) == 2

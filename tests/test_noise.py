@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulselab import (AutocorrelationModel, EigenvalueTooNegative,
-                      NoiseRealization, TimeGrid, build_sampler, build_time_grid,
-                      load_catalog, noise)
+from pulselab import (AutocorrelationModel, EigenvalueTooNegative, TimeGrid,
+                      build_sampler, build_time_grid, load_catalog, noise)
 
 
 class TestAutocorrelationModel:
@@ -78,7 +77,7 @@ class TestTimeGrid:
 
     def test_refined_keeps_boundaries_and_nests_midpoints(self):
         grid = TimeGrid(np.array([0.0, 0.3, 1.0]))
-        fine = grid.refined(3)
+        fine = noise._subdivide(grid.boundaries, [3, 3])
         assert fine.n_steps == 6
         for b in grid.boundaries:
             assert b in fine.boundaries
@@ -232,8 +231,3 @@ class TestSampling:
         assert (np.abs(cov - target) / se_cov).max() < 5.0
         se_mean = np.sqrt(np.diag(target) / m)
         assert (np.abs(block.mean(axis=1)) / se_mean).max() < 4.0
-
-    def test_realization_shape_contract(self):
-        grid = TimeGrid.uniform(1.0, 4)
-        with pytest.raises(ValueError):
-            NoiseRealization(grid, np.zeros(5))

@@ -1,4 +1,5 @@
-"""Tests for the step-product kernel: scalar and ensemble evolution."""
+"""Tests for the step-product kernel, against scipy's expm and the 2x2
+references of ``reference.py``."""
 
 import math
 
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from pulselab import (GridMismatch, NoiseRealization, TimeGrid,
-                      build_time_grid, evolve, evolve_ensemble,
-                      frobenius_from_unitary, ideal_pulse)
-from pulselab.propagator import (P_SERIES_MAX, SIGMA_X, SIGMA_Z,
-                                 unitary_of_quaternion)
+from pulselab import (GridMismatch, TimeGrid, build_time_grid, ensemble_frobenius,
+                      evolve_ensemble)
+from pulselab.noise import _subdivide
+from pulselab.propagator import P_SERIES_MAX
 from pulselab.pulses import PiecewiseConstantPulse, PulseSegment
+from reference import (IDEAL_PULSE, SIGMA_X, SIGMA_Z, correcting_factor,
+                       evolve_one, rotate_bloch, unitary_of_quaternion)
 
 NAMES = ["RECT", "CORPSE", "SCORPSE", "CLASS2ND", "SYM2ND", "ASYM2ND"]
 
@@ -33,10 +35,11 @@ def expm_product(pulse, grid, eta):
 
 
 def one_step(eta, v, dt):
-    """U_tot of a single step of width dt, through evolve, and its expm reference."""
+    """U_tot of a single step of width dt, through evolve_ensemble, and its expm
+    reference."""
     p = constant_pulse(v * dt, tau_p=dt)
     grid = TimeGrid.uniform(dt, 1)
-    u = evolve(p, NoiseRealization.constant(grid, eta)).u_total
+    u = unitary_of_quaternion(*evolve_one(p, grid, eta))
     return u, expm_product(p, grid, [eta])
 
 
@@ -75,7 +78,10 @@ class TestStepPropagator:
 
 class TestIdealPulse:
     def test_matrix(self):
-        np.testing.assert_allclose(ideal_pulse(), -1j * SIGMA_X)
+        # the ideal pulse -i sx is the quaternion (0, 1, 0, 0), where
+        # ensemble_frobenius measures zero
+        np.testing.assert_allclose(unitary_of_quaternion(0.0, 1.0, 0.0, 0.0), IDEAL_PULSE)
+        assert all(v == 0.0 for v in ensemble_frobenius(0.0, 1.0, 0.0, 0.0).values())
 
     @pytest.mark.parametrize("r0,expect", [
         ((0, 1, 0), (0, -1, 0)),
@@ -86,9 +92,9 @@ class TestIdealPulse:
         # a noiseless RECT pulse realizes the ideal pi rotation about x
         p = constant_pulse(0.5 * math.pi, tau_p=1.0)
         grid = TimeGrid.uniform(1.0, 8)
-        res = evolve(p, NoiseRealization.constant(grid, 0.0), initial_bloch=r0)
-        np.testing.assert_allclose(res.u_total, ideal_pulse(), atol=1e-14)
-        np.testing.assert_allclose(res.trajectory.bloch[-1], expect, atol=1e-14)
+        q = evolve_one(p, grid, 0.0)
+        np.testing.assert_allclose(unitary_of_quaternion(*q), IDEAL_PULSE, atol=1e-14)
+        np.testing.assert_allclose(rotate_bloch(r0, *q), expect, atol=1e-14)
 
 
 class TestEvolve:
@@ -96,32 +102,32 @@ class TestEvolve:
     def test_noiseless_realizes_ideal_pulse(self, catalog, name):
         p = catalog[name].with_duration(0.42)
         grid = build_time_grid(p, 128)
-        res = evolve(p, NoiseRealization.constant(grid, 0.0))
-        assert np.abs(res.u_total - ideal_pulse()).max() < 1e-10
-        assert np.abs(res.u_correcting - np.eye(2)).max() < 1e-10
+        q = evolve_one(p, grid, 0.0)
+        assert np.abs(unitary_of_quaternion(*q) - IDEAL_PULSE).max() < 1e-10
+        assert np.abs(correcting_factor(*q) - np.eye(2)).max() < 1e-10
 
     def test_pure_dephasing_closed_form(self):
         p = constant_pulse(0.0, tau_p=1.4)
         grid = build_time_grid(p, 16)
         eta_c = 0.37
-        res = evolve(p, NoiseRealization.constant(grid, eta_c))
+        u = unitary_of_quaternion(*evolve_one(p, grid, eta_c))
         expect = expm(-1j * eta_c * 1.4 * SIGMA_Z)
-        np.testing.assert_allclose(res.u_total, expect, atol=1e-12)
+        np.testing.assert_allclose(u, expect, atol=1e-12)
 
     def test_unitarity_many_steps(self, catalog):
         p = catalog["SYM2ND"].with_duration(1.0)
         grid = build_time_grid(p, 4096)
         rng = np.random.default_rng(3)
-        noise = NoiseRealization(grid, rng.normal(size=grid.n_steps))
-        res = evolve(p, noise)
-        assert np.abs(res.u_total.conj().T @ res.u_total - np.eye(2)).max() < 1e-12
-        assert abs(np.trace(res.u_correcting).imag) < 1e-12
+        q = evolve_one(p, grid, rng.normal(size=grid.n_steps))
+        u = unitary_of_quaternion(*q)
+        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
+        assert abs(np.trace(correcting_factor(*q)).imag) < 1e-12
 
     def test_grid_mismatch_raises(self, catalog):
         p = catalog["CORPSE"].with_duration(1.0)
         bad_grid = TimeGrid.uniform(1.0, 64)   # misses 1/13, 6/13
         with pytest.raises(GridMismatch):
-            evolve(p, NoiseRealization.constant(bad_grid, 0.0))
+            evolve_one(p, bad_grid, 0.0)
 
     def test_step_halving_convergence_order(self, catalog):
         # smooth deterministic eta(t); the midpoint discretization error of
@@ -129,30 +135,16 @@ class TestEvolve:
         p = catalog["SCORPSE"].with_duration(1.0)
         grids = [build_time_grid(p, 64)]
         for _ in range(4):
-            grids.append(grids[-1].refined(2))
+            grids.append(_subdivide(grids[-1].boundaries, [2] * grids[-1].n_steps))
 
         def df2_on(grid):
             eta = 0.4 * np.sin(3.0 * grid.midpoints) + 0.2
-            res = evolve(p, NoiseRealization(grid, eta))
-            return frobenius_from_unitary(res.u_correcting).delta_f_squared
+            return ensemble_frobenius(*evolve_one(p, grid, eta))["df2"]
 
         ref = df2_on(grids[-1])
         errs = [abs(df2_on(g) - ref) for g in grids[:3]]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.9
-
-    def test_trajectory_recording(self, catalog):
-        p = catalog["SCORPSE"].with_duration(0.6)
-        grid = build_time_grid(p, 32)
-        res = evolve(p, NoiseRealization.constant(grid, 0.0),
-                     initial_bloch=[0.0, 1.0, 0.0])
-        assert res.trajectory is not None
-        assert res.trajectory.bloch.shape == (33, 3)
-        np.testing.assert_allclose(res.trajectory.bloch[0], [0, 1, 0], atol=1e-15)
-        np.testing.assert_allclose(res.trajectory.bloch[-1], [0, -1, 0], atol=1e-10)
-        # Bloch norm preserved throughout
-        norms = np.linalg.norm(res.trajectory.bloch, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 class TestEnsembleEvolution:
@@ -174,8 +166,6 @@ class TestEnsembleEvolution:
             ref = expm_product(p, grid, block[:, k])
             u = unitary_of_quaternion(w[k], x[k], y[k], z[k])
             np.testing.assert_allclose(u, ref, rtol=0, atol=1e-12)
-            res = evolve(p, NoiseRealization(grid, block[:, k]))
-            np.testing.assert_allclose(res.u_total, ref, rtol=0, atol=1e-12)
 
     def test_step_straddling_series_bound(self):
         # one step of phase^2 p = (eta^2 + v^2) dt^2 on both sides of P_SERIES_MAX

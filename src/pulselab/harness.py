@@ -4,10 +4,11 @@ Results are rendered against the inverse peak amplitude 1/v (for a fixed
 shape tau_p is proportional to 1/v), with g0 = 1 fixing the energy scale.
 One noise sampler is built per (pulse, 1/v) cell and shared by all
 realizations: the exponential model's Markov recursion coefficients, or the
-Gaussian model's covariance eigendecomposition.  Realizations are drawn in
-fixed-size chunks whose RNG streams derive from (seed, cell, chunk), so
-results are bit-reproducible for a given configuration regardless of worker
-count or scheduling.
+Gaussian model's covariance eigendecomposition cut to its numerical rank k,
+so a Gaussian realization takes k normals, not one per step.  Realizations
+are drawn in fixed-size chunks whose RNG streams derive from (seed, cell,
+chunk), so results are bit-reproducible for a given configuration regardless
+of worker count or scheduling.
 
 One draw loop, `_draws`, owns the chunk schedule of every noise block: the
 chunk sizes, their order and their streams.  A cell's full chunks come in

@@ -10,7 +10,12 @@ linear transform L of i.i.d. standard normals with L L^T = G:
   a_i = exp(-gamma (t_i - t_{i-1})) samples G exactly (Gillespie,
   Phys. Rev. E 54, 2084, 1996).  L is G's Cholesky factor, applied as an
   O(N) recursion per realization; no N x N array is formed to draw.
-* Gaussian model: G = O D O^T by eigendecomposition and L = O sqrt(D).
+* Gaussian model: G = O D O^T by eigendecomposition, and L = O_k sqrt(D_k)
+  keeps the k eigenpairs above the round-off band EPS_CLIP * lambda_max (a
+  truncated Karhunen-Loeve expansion).  The analytic autocorrelation's
+  spectrum falls super-exponentially, so k is a few where N is hundreds, and
+  a realization takes k normals and an N x k product.  L L^T differs from G
+  by about EPS_CLIP * lambda_max at most in any entry.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .errors import EigenvalueTooNegative
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
 
-#: Relative band in which negative eigenvalues are treated as round-off.
+#: Relative band around zero in which eigenvalues are treated as round-off:
+#: negative ones are clipped, positive ones dropped from the Gaussian transform.
 EPS_CLIP = 1e-10
 
 #: Largest grid N accepted where cost grows like N^2: the Gaussian sampler's
@@ -61,6 +67,9 @@ class AutocorrelationModel:
             raise ValueError("g0 must be positive and finite (g(0) = g0^2 > 0)")
         if not 0.0 <= self.gamma < np.inf:
             raise ValueError("gamma must be non-negative and finite")
+        with np.errstate(over="ignore"):
+            if self.kind == GAUSSIAN and np.isinf(np.square(float(self.gamma))):
+                raise ValueError("gamma**2 must be finite for the gaussian model")
         if not np.isfinite(self.eta0):
             raise ValueError("eta0 must be finite")
 
@@ -153,9 +162,10 @@ class NoiseSampler:
     The transform is prepared once at construction and shared by every draw,
     and the sampler is immutable.  For the exponential model it is the
     Markov recursion's per-step coefficients (O(N) memory); for the Gaussian
-    model it is the eigendecomposition's O sqrt(D).  ``covariance`` and
-    ``transform`` are readable for both kinds; for the exponential kind they
-    are formed only when read.  Every draw goes through
+    model it is the N x k matrix O_k sqrt(D_k) of the eigenpairs above the
+    round-off band, and a draw takes k normals per realization.
+    ``covariance`` and ``transform`` are readable for both kinds; for the
+    exponential kind they are formed only when read.  Every draw goes through
     ``sample_block(..., stream=(k, ...))``, which derives a counter-based
     generator from (seed, stream) and is therefore insensitive to scheduling.
     """
@@ -187,8 +197,10 @@ class NoiseSampler:
                 f"eigenvalue {worst:.3e} below clip band {floor:.3e}; "
                 "covariance matrix is not numerically positive semidefinite"
             )
-        eigvals = np.clip(eigvals, 0.0, None)
-        self.transform = eigvecs * np.sqrt(eigvals)[None, :]
+        # eigenvalues within EPS_CLIP * lam_max of zero are round-off on either
+        # side: keep the k above the band, a truncated Karhunen-Loeve expansion
+        keep = eigvals > EPS_CLIP * lam_max
+        self.transform = eigvecs[:, keep] * np.sqrt(eigvals[keep])
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -198,7 +210,8 @@ class NoiseSampler:
 
     @cached_property
     def transform(self) -> np.ndarray:
-        """L with L L^T = G (exponential kind: the recursion applied to I)."""
+        """L with L L^T = G: N x k for the Gaussian kind (set at construction),
+        the recursion applied to I for the exponential kind."""
         return self._markov(np.eye(self.grid.n_steps))
 
     def _markov(self, z: np.ndarray) -> np.ndarray:
@@ -216,18 +229,21 @@ class NoiseSampler:
         parallel sampling reproduces bit-identically in any schedule.  With
         `out` (C-contiguous, that shape) the block is written there and
         returned; the Philox fill and the Gaussian matmul release the GIL.
+        The Gaussian kind draws a (k, count) block of normals for its N x k
+        transform; the exponential kind draws (n_steps, count).
         """
         shape = (self.grid.n_steps, count)
         gen = _stream_generator(self.seed, *stream)
         if self.model.kind == EXPONENTIAL:
             eta = self._markov(gen.standard_normal(shape, out=out))
         else:
-            eta = np.matmul(self.transform, gen.standard_normal(shape), out=out)
+            z = gen.standard_normal((self.transform.shape[1], count))
+            eta = np.matmul(self.transform, z, out=out)
         eta += self.model.eta0
         return eta
 
 
 def build_sampler(model: AutocorrelationModel, grid: TimeGrid, seed: int) -> NoiseSampler:
     """Construct a sampler: the Markov coefficients for the exponential
-    model, eigh of G and O sqrt(D) for the Gaussian model."""
+    model, eigh of G and the rank-k O_k sqrt(D_k) for the Gaussian model."""
     return NoiseSampler(model, grid, seed)

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pulselab
 from pulselab import AutocorrelationModel, TimeGrid, build_sampler, harness
 from pulselab.cli import main
 
@@ -23,6 +26,17 @@ class TestCatalogValidate:
     def test_shipped_catalog_ok(self, capsys):
         assert run(["catalog-validate"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_runs_as_python_dash_m(self, tmp_path):
+        # `python -m pulselab` from any directory, with the sources on the path
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pulselab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "pulselab", "catalog-validate"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout
 
     def test_corrupt_catalog_fails(self, tmp_path, capsys):
         bad = [{
@@ -352,6 +366,11 @@ class TestOtherSubcommands:
         # a pulse named twice, in any case, would run its cells twice
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect,RECT",
          "--inv-v", "1e-3,3e-3,1e-2", "--realizations", "100", "--steps", "16"],
+        # the gaussian g(t) squares gamma, which overflows above 1.34e154
+        ["scaling", "--model", "gaussian", "--gamma", "1e160", "--pulses", "rect",
+         "--inv-v", "1e-3,1e-2,1e-1", "--realizations", "100", "--steps", "16"],
+        ["noise-validate", "--model", "gaussian", "--gamma", "1e160",
+         "--realizations", "100"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
@@ -367,7 +386,8 @@ class TestOtherSubcommands:
             "scaling-empty-inv-v", "prefactor-empty-inv-v", "scaling-two-points",
             "scaling-below-fit-window", "scaling-two-in-fit-window",
             "scaling-invalid-catalog", "prefactor-invalid-catalog", "nogo-invalid-catalog",
-            "scaling-repeated-pulse"])
+            "scaling-repeated-pulse", "scaling-gaussian-gamma-squared-overflows",
+            "noise-validate-gaussian-gamma-squared-overflows"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()

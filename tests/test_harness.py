@@ -109,10 +109,10 @@ class TestRunScaling:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for chunk in (512, 768):
-                cfg = dict(realizations=5 * chunk + 37, chunk_size=chunk)
+            for model, chunk in ((EXP, 512), (EXP, 768), (GAUSS, 512)):
+                cfg = dict(model=model, realizations=5 * chunk + 37, chunk_size=chunk)
                 runs = [run_scaling(small_config(workers=n, **cfg)) for n in (1, 2, 3, 4)]
-                # every column of every exponential cell, not only mean DF^2
+                # every column of every cell, not only mean DF^2
                 for r in runs[1:]:
                     assert r.csv_text() == runs[0].csv_text()
         finally:

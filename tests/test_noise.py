@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulselab import (AutocorrelationModel, EigenvalueTooNegative, TimeGrid,
-                      build_sampler, build_time_grid, load_catalog, noise)
+                      build_sampler, build_time_grid, ensemble_frobenius,
+                      evolve_ensemble, load_catalog, noise)
 
 
 class TestAutocorrelationModel:
@@ -58,6 +59,17 @@ class TestAutocorrelationModel:
             AutocorrelationModel("gaussian", g0=0.0, gamma=1.0)
         with pytest.raises(ValueError):
             AutocorrelationModel("gaussian", g0=1.0, gamma=-1.0)
+
+    def test_gaussian_gamma_squared_must_be_finite(self):
+        # gamma^2 overflows above sqrt(float max) = 1.34e154
+        with pytest.raises(ValueError, match=r"gamma\*\*2 must be finite"):
+            AutocorrelationModel("gaussian", gamma=1e160)
+        with pytest.raises(ValueError, match=r"gamma\*\*2 must be finite"):
+            AutocorrelationModel("gaussian", gamma=np.float64(1.35e154))
+        model = AutocorrelationModel("gaussian", g0=2.0, gamma=1.3e154)
+        assert model.evaluate(0.0) == 4.0 and model.evaluate(1.0) == 0.0
+        # the exponential model never squares gamma
+        assert AutocorrelationModel("exponential", gamma=1e160).evaluate(0.0) == 1.0
 
 
 class TestTimeGrid:
@@ -185,6 +197,46 @@ class TestMarkovSampler:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestGaussianSampler:
+    """The Gaussian model is drawn in its numerical rank k, not in N."""
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0])
+    def test_block_is_transform_times_normals(self, gamma):
+        model = AutocorrelationModel("gaussian", g0=1.3, gamma=gamma, eta0=0.5)
+        grid = build_time_grid(load_catalog()["CORPSE"], 96)
+        sampler = build_sampler(model, grid, seed=11)
+        eigvals = np.linalg.eigvalsh(sampler.covariance)
+        k = np.count_nonzero(eigvals > noise.EPS_CLIP * eigvals[-1])
+        assert sampler.transform.shape == (grid.n_steps, k) and 1 < k < grid.n_steps
+        stream = (3, 1)
+        z = noise._stream_generator(11, *stream).standard_normal((k, 200))
+        block = sampler.sample_block(200, stream=stream)
+        assert np.abs(block - (sampler.transform @ z + model.eta0)).max() <= 1e-12
+
+    def test_gamma_zero_has_rank_one(self):
+        model = AutocorrelationModel("gaussian", g0=1.5, gamma=0.0)
+        sampler = build_sampler(model, TimeGrid.uniform(3.0, 64), seed=3)
+        assert sampler.transform.shape == (64, 1)
+        block = sampler.sample_block(50, stream=(0,))
+        assert np.allclose(block, block[0], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name,inv_v", [("CORPSE", 1e-3), ("CORPSE", 1e-1),
+                                            ("SYM2ND", 1e-3), ("SYM2ND", 1e-1)])
+    def test_cut_moves_mean_df2_below_1e_3(self, name, inv_v):
+        # the same normals through the full O sqrt(D) and through the kept
+        # columns, which are the last k of eigh's ascending order
+        pulse = load_catalog()[name].for_inverse_amplitude(inv_v)
+        grid = build_time_grid(pulse, 128)
+        sampler = build_sampler(AutocorrelationModel("gaussian", gamma=0.1), grid, seed=0)
+        eigvals, eigvecs = np.linalg.eigh(sampler.covariance)
+        full = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        k = sampler.transform.shape[1]
+        z = noise._stream_generator(0, 5).standard_normal((grid.n_steps, 2000))
+        means = [ensemble_frobenius(*evolve_ensemble(pulse, grid, eta))["df2"].mean()
+                 for eta in (full @ z, sampler.transform @ z[-k:])]
+        assert abs(means[1] / means[0] - 1.0) <= 1e-3
 
 
 class TestSampling:

@@ -8,10 +8,11 @@ Subcommands
     noise-validate   sample-covariance check of the noise synthesis
     catalog-validate consistency checks of a pulse catalog file
 
-Every option can also come from a flat JSON config file (``--config``);
-explicit flags win, and a key that is not an option of the chosen subcommand
-is a configuration error.  The environment variable PULSELAB_SEED provides
-the default seed.  Exit codes: 0 success, 1 usage, 2 configuration,
+Every option can also come from a flat JSON config file (``--config``),
+parsed exactly as its flag would be; explicit flags win, and a key that is
+not an option of the chosen subcommand is a configuration error.  The
+environment variable PULSELAB_SEED provides the default seed.  ``--help``
+shows each default.  Exit codes: 0 success, 1 usage, 2 configuration,
 3 numerical.
 """
 
@@ -42,31 +43,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class ConfigError(Exception):
-    pass
-
-
-def _default_seed() -> int:
-    env = os.environ.get("PULSELAB_SEED")
-    return int(env) if env else 0
-
-
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="pulselab",
                      description="Shaped spin-flip pulses under correlated dephasing noise")
     parser.add_argument("--config", help="flat JSON file with option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {
-        "--out": dict(help="output directory (default: results)"),
-        "--seed": dict(type=int, help="master RNG seed"),
+        "--out": dict(default="results", help="output directory (default: %(default)s)"),
+        "--seed": dict(type=int, default=0, help="master RNG seed "
+                       "(default: $PULSELAB_SEED if set, else %(default)s)"),
         "--catalog": dict(help="pulse catalog JSON (default: shipped)"),
         "--model": dict(choices=[GAUSSIAN, EXPONENTIAL], help="autocorrelation kind"),
         "--gamma": dict(type=float, help="correlation decay rate "
-                        f"(default {AutocorrelationModel.gamma})"),
-        "--g0": dict(type=float, help=f"noise amplitude (default {AutocorrelationModel.g0})"),
+                        f"(default: {AutocorrelationModel.gamma})"),
+        "--g0": dict(type=float, help=f"noise amplitude (default: {AutocorrelationModel.g0})"),
         "--eta0": dict(type=float, help="constant noise offset "
-                       f"(default {AutocorrelationModel.eta0})"),
+                       f"(default: {AutocorrelationModel.eta0})"),
     }
 
     def add_shared(p, flags):
@@ -76,14 +70,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scaling", help="amplitude sweep and exponent fits")
     add_shared(p, "--out --seed --catalog --model --gamma --g0 --eta0")
-    p.add_argument("--pulses", help="comma-separated pulse names")
+    p.add_argument("--pulses", default="rect,corpse,scorpse",
+                   help="comma-separated pulse names (default: %(default)s)")
     p.add_argument("--inv-v", dest="inv_v",
                    help="explicit comma-separated 1/v values (overrides the range)")
-    p.add_argument("--inv-v-min", dest="inv_v_min", type=float)
-    p.add_argument("--inv-v-max", dest="inv_v_max", type=float)
-    p.add_argument("--points", type=int, help="log-spaced 1/v count (default 8)")
+    p.add_argument("--inv-v-min", dest="inv_v_min", type=float, default=1e-3,
+                   help="smallest 1/v of the range (default: %(default)s)")
+    p.add_argument("--inv-v-max", dest="inv_v_max", type=float, default=1e-1,
+                   help="largest 1/v of the range (default: %(default)s)")
+    p.add_argument("--points", type=int, default=8,
+                   help="log-spaced 1/v count (default: %(default)s)")
     p.add_argument("--realizations", type=int)
-    p.add_argument("--steps", type=int, help="time steps per pulse (default "
+    p.add_argument("--steps", type=int, help="time steps per pulse (default: "
                    f"{harness.ScalingExperimentConfig.steps_per_pulse})")
     p.add_argument("--fit-min", dest="fit_min", type=float)
     p.add_argument("--fit-max", dest="fit_max", type=float)
@@ -91,147 +89,168 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("prefactor", help="cubic-law prefactor comparison")
     add_shared(p, "--out --seed --catalog --model --gamma --g0 --eta0")
-    p.add_argument("--pulse", help="first-order pulse name (default corpse)")
-    p.add_argument("--inv-v", dest="inv_v", help="comma-separated 1/v values")
-    p.add_argument("--realizations", type=int)
+    p.add_argument("--pulse", default="corpse",
+                   help="first-order pulse name (default: %(default)s)")
+    p.add_argument("--inv-v", dest="inv_v", default="3e-3,1e-2",
+                   help="comma-separated 1/v values (default: %(default)s)")
+    p.add_argument("--realizations", type=int, default=50000,
+                   help="realizations per 1/v (default: %(default)s)")
     p.add_argument("--steps", type=int)
 
     p = sub.add_parser("nogo", help="kernel-operator positivity report")
     add_shared(p, "--out --catalog --model --gamma --g0")
-    p.add_argument("--pulse")
-    p.add_argument("--grid", type=int, help="grid points (default 1024)")
+    p.add_argument("--pulse", default="scorpse",
+                   help="first-order pulse name (default: %(default)s)")
+    p.add_argument("--grid", type=int, default=1024, help="grid points (default: %(default)s)")
 
     # I_3/2 does not depend on eta0, and the search starts from the shipped catalog
     p = sub.add_parser("design", help="minimize the anomalous integral")
     add_shared(p, "--out --seed --model --gamma --g0")
-    p.add_argument("--segments", type=int, help="segment count (default 3)")
+    p.add_argument("--segments", type=int, default=3, help="segment count (default: %(default)s)")
     p.add_argument("--restarts", type=int, help="random starts per segment count")
     p.add_argument("--budget", type=int, help="SLSQP iterations per start")
     p.add_argument("--vmax", type=float, help="amplitude bound in 1/tau_p units")
 
     p = sub.add_parser("noise-validate", help="sample-covariance statistics")
     add_shared(p, "--out --seed --model --gamma --g0 --eta0")
-    p.add_argument("--steps", type=int, help="grid points (default 16)")
-    p.add_argument("--span", type=float, help="grid span in time units (default 1)")
-    p.add_argument("--realizations", type=int)
+    p.add_argument("--steps", type=int, default=16, help="grid points (default: %(default)s)")
+    p.add_argument("--span", type=float, default=1.0,
+                   help="grid span in time units (default: %(default)s)")
+    p.add_argument("--realizations", type=int, default=200000,
+                   help="sampled paths (default: %(default)s)")
 
     p = sub.add_parser("catalog-validate", help="validate a catalog file")
     add_shared(p, "--catalog")
-    return parser
+    return parser, sub.choices
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    merged = dict(vars(args))
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """``--key=value`` for PULSELAB_SEED and then each config-file entry, so a
+    later source wins; a JSON list becomes a comma list and a null is skipped."""
+    options = set(vars(args)) - {"config", "command"}
+    env = os.environ.get("PULSELAB_SEED")
+    tokens = [f"--seed={env}"] if env and "seed" in options else []
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_conf = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
+            raise ValueError(f"cannot read config file: {exc}")
         if not isinstance(file_conf, dict):
-            raise ConfigError("config file must hold a flat JSON object")
-        options = set(merged) - {"config", "command"}
+            raise ValueError("config file must hold a flat JSON object")
         for key, value in file_conf.items():
-            dest = key.replace("-", "_")
-            if dest not in options:
-                raise ConfigError(f"unknown key {key!r} for {args.command}")
-            if merged[dest] is None:
-                merged[dest] = value
-    return merged
+            if key.replace("-", "_") not in options:
+                raise ValueError(f"unknown key {key!r} for {args.command}")
+            items = value if isinstance(value, list) else [value]
+            if any(isinstance(item, (dict, list)) for item in items):
+                raise ValueError(f"key {key!r} must hold a value or a list of values")
+            if value is not None:
+                tokens.append(f"--{key.replace('_', '-')}=" + ",".join(map(str, items)))
+    return tokens
 
 
-def _get(conf: dict, key: str, default=None):
-    value = conf.get(key)
-    return default if value is None else value
+def _parse(argv) -> argparse.Namespace:
+    """The subcommand's own parser types the config tokens on their own, a
+    value its type or choices refuse being a configuration error that names
+    the option; the typed values become its defaults, and the flags are
+    parsed again over them, so a flag still wins."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    command = commands[args.command]
+    command.exit_on_error = False
+    try:
+        command.set_defaults(**vars(command.parse_args(_config_tokens(args))))
+    except argparse.ArgumentError as exc:
+        raise ValueError(exc) from None
+    return parser.parse_args(argv)
 
 
-def _given(conf: dict, **options) -> dict:
-    """``{param: cast(conf[key])}`` for each ``param=(key, cast)`` whose option is set;
-    an unset option is left out, so the library's default applies."""
-    return {param: cast(conf[key]) for param, (key, cast) in options.items()
-            if conf.get(key) is not None}
+def _given(args: argparse.Namespace, **options) -> dict:
+    """``{param: args.<option>}`` for each ``param=option`` that is set; an
+    unset option is left out, so the library's default applies."""
+    return {param: getattr(args, option) for param, option in options.items()
+            if getattr(args, option, None) is not None}
 
 
-def _model_from(conf: dict) -> AutocorrelationModel:
-    kind = _get(conf, "model")
-    if kind is None:
-        raise ConfigError("--model is required")
-    return AutocorrelationModel(kind, **_given(conf, g0=("g0", float), gamma=("gamma", float),
-                                               eta0=("eta0", float)))
+def _model_from(args: argparse.Namespace) -> AutocorrelationModel:
+    if args.model is None:
+        raise ValueError("--model is required")
+    return AutocorrelationModel(args.model, **_given(args, g0="g0", gamma="gamma", eta0="eta0"))
 
 
-def _tokens(value) -> list[str]:
-    """The non-empty items of a comma-list option: a JSON list or a comma string."""
-    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    return [tok for tok in (str(item).strip() for item in items) if tok]
+def _tokens(value: str) -> list[str]:
+    """The non-empty items of a comma-list option."""
+    return [tok for tok in (item.strip() for item in value.split(",")) if tok]
 
 
-def _inv_v_values(value) -> tuple[float, ...]:
+def _inv_v_values(value: str) -> tuple[float, ...]:
     """Explicit 1/v values in increasing order; the config refuses repeats."""
     return tuple(sorted(float(tok) for tok in _tokens(value)))
 
 
-def _inv_v_grid(conf: dict) -> tuple[float, ...]:
-    if _get(conf, "inv_v"):
-        return _inv_v_values(conf["inv_v"])
-    lo = float(_get(conf, "inv_v_min", 1e-3))
-    hi = float(_get(conf, "inv_v_max", 1e-1))
-    n = int(_get(conf, "points", 8))
-    if not 0 < lo < hi or n < 2:
-        raise ConfigError("invalid 1/v range")
-    return tuple(np.geomspace(lo, hi, n))
+def _inv_v_grid(args: argparse.Namespace) -> tuple[float, ...]:
+    if args.inv_v:
+        return _inv_v_values(args.inv_v)
+    if not 0 < args.inv_v_min < args.inv_v_max or args.points < 2:
+        raise ValueError("invalid 1/v range")
+    return tuple(np.geomspace(args.inv_v_min, args.inv_v_max, args.points))
 
 
 def _known_pulse(catalog, name: str) -> str:
     if name not in catalog:
-        raise ConfigError(f"unknown pulse {name!r}")
+        raise ValueError(f"unknown pulse {name!r}")
     return name
 
 
-def _outdir(conf: dict) -> str:
-    out = _get(conf, "out", "results")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _outdir(args: argparse.Namespace) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
-def _load_catalog(conf: dict):
-    path = _get(conf, "catalog")
+def _write(args: argparse.Namespace, name: str, text: str) -> None:
+    path = os.path.join(_outdir(args), name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
+def _load_catalog(args: argparse.Namespace):
     try:
-        return load_catalog(path)
+        return load_catalog(args.catalog)
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot load catalog: {exc}")
+        raise ValueError(f"cannot load catalog: {exc}")
 
 
-def _valid_catalog(conf: dict):
+def _valid_catalog(args: argparse.Namespace):
     """The loaded catalog, refused as a configuration error unless every
     ``catalog-validate`` check passes; the error names the first failure."""
     try:
-        return require_valid(_load_catalog(conf))
+        return require_valid(_load_catalog(args))
     except CatalogInvalid as exc:
         pulse, check, _, detail = exc.report.failures[0]
-        raise ConfigError(f"invalid catalog: {pulse} {check}: {detail}")
+        raise ValueError(f"invalid catalog: {pulse} {check}: {detail}")
 
 
-def _cmd_scaling(conf: dict) -> int:
-    catalog = _valid_catalog(conf)
-    names = [_known_pulse(catalog, tok)
-             for tok in _tokens(_get(conf, "pulses", "rect,corpse,scorpse"))]
-    model = _model_from(conf)
+def _cmd_scaling(args: argparse.Namespace) -> int:
+    catalog = _valid_catalog(args)
+    names = [_known_pulse(catalog, tok) for tok in _tokens(args.pulses)]
+    model = _model_from(args)
     window = None
-    if _get(conf, "fit_min") is not None or _get(conf, "fit_max") is not None:
+    if args.fit_min is not None or args.fit_max is not None:
         lo, hi = harness.DEFAULT_FIT_WINDOWS[model.kind]
-        window = (float(_get(conf, "fit_min", lo)), float(_get(conf, "fit_max", hi)))
+        window = (lo if args.fit_min is None else args.fit_min,
+                  hi if args.fit_max is None else args.fit_max)
     config = harness.ScalingExperimentConfig(
         pulses=tuple(names),
         model=model,
-        inv_v_grid=_inv_v_grid(conf),
-        seed=int(_get(conf, "seed", _default_seed())),
+        inv_v_grid=_inv_v_grid(args),
+        seed=args.seed,
         fit_window=window,
-        **_given(conf, realizations=("realizations", int),
-                 steps_per_pulse=("steps", int), workers=("workers", int)),
+        **_given(args, realizations="realizations", steps_per_pulse="steps",
+                 workers="workers"),
     )
     result = harness.run_scaling(config, catalog)
-    out = _outdir(conf)
+    out = _outdir(args)
     result.write(out)
     for name, fit in result.fits.items():
         print(f"{name}: slope {fit.slope:.3f} +- {fit.slope_err:.3f} "
@@ -240,39 +259,28 @@ def _cmd_scaling(conf: dict) -> int:
     return 0
 
 
-def _cmd_prefactor(conf: dict) -> int:
-    catalog = _valid_catalog(conf)
-    name = _known_pulse(catalog, str(_get(conf, "pulse", "corpse")))
-    model = _model_from(conf)
+def _cmd_prefactor(args: argparse.Namespace) -> int:
+    catalog = _valid_catalog(args)
+    name = _known_pulse(catalog, args.pulse)
     rows = harness.run_prefactor_check(
-        name, model, _inv_v_values(_get(conf, "inv_v", "3e-3,1e-2")),
-        realizations=int(_get(conf, "realizations", 50000)),
-        seed=int(_get(conf, "seed", _default_seed())),
-        catalog=catalog,
-        **_given(conf, steps_per_pulse=("steps", int)),
+        name, _model_from(args), _inv_v_values(args.inv_v),
+        realizations=args.realizations, seed=args.seed, catalog=catalog,
+        **_given(args, steps_per_pulse="steps"),
     )
-    out = _outdir(conf)
-    path = os.path.join(out, f"prefactor_{name.lower()}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("inv_v,measured_df2,stderr_df2,predicted_df2,ratio,ratio_err\n")
-        for r in rows:
-            fh.write(f"{r.inv_v!r},{r.measured_df2!r},{r.stderr_df2!r},"
-                     f"{r.predicted_df2!r},{r.ratio!r},{r.ratio_err!r}\n")
     for r in rows:
         print(f"1/v={r.inv_v:9.3e}: ratio {r.ratio:.4f} +- {r.ratio_err:.4f}")
-    print(f"wrote {path}")
+    _write(args, f"prefactor_{name.lower()}.csv",
+           "inv_v,measured_df2,stderr_df2,predicted_df2,ratio,ratio_err\n"
+           + "".join(f"{r.inv_v!r},{r.measured_df2!r},{r.stderr_df2!r},"
+                     f"{r.predicted_df2!r},{r.ratio!r},{r.ratio_err!r}\n" for r in rows))
     return 0
 
 
-def _cmd_nogo(conf: dict) -> int:
-    catalog = _valid_catalog(conf)
-    name = _known_pulse(catalog, str(_get(conf, "pulse", "scorpse")))
-    grid_n = int(_get(conf, "grid", 1024))
-    model = None
-    if _get(conf, "model") is not None:
-        model = _model_from(conf)
-    report = magnus.verify_nogo(catalog[name], grid_n, model=model)
-    out = _outdir(conf)
+def _cmd_nogo(args: argparse.Namespace) -> int:
+    catalog = _valid_catalog(args)
+    name = _known_pulse(catalog, args.pulse)
+    model = None if args.model is None else _model_from(args)
+    report = magnus.verify_nogo(catalog[name], args.grid, model=model)
     payload = {
         "pulse": name.upper(),
         "grid_n": report.grid_n,
@@ -284,42 +292,30 @@ def _cmd_nogo(conf: dict) -> int:
         "i32_discrete": report.i32_discrete,
         "identity_residual": report.identity_residual,
     }
-    path = os.path.join(out, f"nogo_{name.lower()}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
     print(f"I_3/2 kernel form: {report.i32_kernel:.6e} (positive: "
           f"{report.i32_kernel > 0}); identity residual {report.identity_residual:.3e}")
-    print(f"wrote {path}")
+    _write(args, f"nogo_{name.lower()}.json", json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def _cmd_design(conf: dict) -> int:
-    model = _model_from(conf)
+def _cmd_design(args: argparse.Namespace) -> int:
     pulse, i32_min = magnus.minimize_i32(
-        n_segments=int(_get(conf, "segments", 3)),
-        model=model,
-        seed=int(_get(conf, "seed", _default_seed())),
-        **_given(conf, budget=("budget", int), restarts=("restarts", int),
-                 v_max_taup=("vmax", float)),
+        n_segments=args.segments, model=_model_from(args), seed=args.seed,
+        **_given(args, budget="budget", restarts="restarts", v_max_taup="vmax"),
     )
-    out = _outdir(conf)
-    path = os.path.join(out, "designed_pulse.json")
+    path = os.path.join(_outdir(args), "designed_pulse.json")
     save_catalog([pulse], path)
     print(f"best feasible I_3/2 = {i32_min:.6e} (tau_p = 1); pulse written to {path}")
     return 0
 
 
-def _cmd_noise_validate(conf: dict) -> int:
-    model = _model_from(conf)
-    n = int(_get(conf, "steps", 16))
-    span = float(_get(conf, "span", 1.0))
-    m = int(_get(conf, "realizations", 200000))
-    seed = int(_get(conf, "seed", _default_seed()))
+def _cmd_noise_validate(args: argparse.Namespace) -> int:
+    model = _model_from(args)
+    n, m = args.steps, args.realizations
     if m < 2:
-        raise ConfigError("need at least 2 realizations")
-    grid = TimeGrid.uniform(span, n)
-    sampler = build_sampler(model, grid, seed)
+        raise ValueError("need at least 2 realizations")
+    grid = TimeGrid.uniform(args.span, n)
+    sampler = build_sampler(model, grid, args.seed)
     # deviations from the mean eta0, whose covariance is the target, summed
     # over the blocks of the sweep's draw loop (chunk c from stream (c,))
     sums, products = np.zeros(n), np.zeros((n, n))
@@ -333,19 +329,15 @@ def _cmd_noise_validate(conf: dict) -> int:
     se_cov = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / m)
     worst = float(np.abs((sample_cov - target) / se_cov).max())
     worst_mean = float(np.abs(mean / np.sqrt(np.diag(target) / m)).max())
-    out = _outdir(conf)
-    path = os.path.join(out, "noise_validate.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"max_cov_sigma": worst, "max_mean_sigma": worst_mean,
-                   "realizations": m, "steps": n}, fh, indent=2)
-        fh.write("\n")
     print(f"max covariance deviation {worst:.2f} sigma; max mean {worst_mean:.2f} sigma")
-    print(f"wrote {path}")
+    _write(args, "noise_validate.json", json.dumps(
+        {"max_cov_sigma": worst, "max_mean_sigma": worst_mean, "realizations": m, "steps": n},
+        indent=2) + "\n")
     return 0 if worst < 5.0 and worst_mean < 5.0 else EXIT_NUMERICAL
 
 
-def _cmd_catalog_validate(conf: dict) -> int:
-    catalog = _load_catalog(conf)
+def _cmd_catalog_validate(args: argparse.Namespace) -> int:
+    catalog = _load_catalog(args)
     report = validate_catalog(catalog)
     print(report)
     return 0 if report.ok else EXIT_NUMERICAL
@@ -362,15 +354,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    try:
-        conf = _merge_config(args)
-        return _COMMANDS[args.command](conf)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         # the package raises ValueError only for invalid arguments; its
         # numerical failures are PulselabErrors
         print(f"error: config: {exc}", file=sys.stderr)
@@ -378,7 +367,3 @@ def main(argv=None) -> int:
     except PulselabError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -63,11 +63,11 @@ class AutocorrelationModel:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, EXPONENTIAL):
             raise ValueError(f"unknown autocorrelation kind: {self.kind!r}")
-        if not 0.0 < self.g0 < np.inf:
-            raise ValueError("g0 must be positive and finite (g(0) = g0^2 > 0)")
-        if not 0.0 <= self.gamma < np.inf:
-            raise ValueError("gamma must be non-negative and finite")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
+            if not (self.g0 > 0.0 and 0.0 < np.square(float(self.g0)) < np.inf):
+                raise ValueError("g0 must be positive with g(0) = g0**2 positive and finite")
+            if not 0.0 <= self.gamma < np.inf:
+                raise ValueError("gamma must be non-negative and finite")
             if self.kind == GAUSSIAN and np.isinf(np.square(float(self.gamma))):
                 raise ValueError("gamma**2 must be finite for the gaussian model")
         if not np.isfinite(self.eta0):

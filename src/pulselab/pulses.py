@@ -247,10 +247,6 @@ class PulseCatalog:
     def __iter__(self):
         return iter(self.pulses.values())
 
-    @property
-    def names(self) -> list[str]:
-        return list(self.pulses)
-
 
 def _pulse_from_record(rec: dict) -> PiecewiseConstantPulse:
     segments = tuple(
@@ -274,6 +270,7 @@ def _pulse_to_record(pulse: PiecewiseConstantPulse) -> dict:
 def load_catalog(path=None) -> PulseCatalog:
     """Load a catalog JSON file; defaults to the shipped catalog.
 
+    Names are upper-cased, and a name given twice (in any case) is refused.
     Numeric fields are decimal strings so the file preserves the full
     precision that the shipped shapes were specified with.
     """
@@ -286,6 +283,8 @@ def load_catalog(path=None) -> PulseCatalog:
     pulses = {}
     for rec in records:
         pulse = _pulse_from_record(rec)
+        if pulse.name in pulses:
+            raise ValueError(f"pulse {pulse.name} is defined twice")
         pulses[pulse.name] = pulse
     return PulseCatalog(pulses)
 

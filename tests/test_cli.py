@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import pulselab
-from pulselab import AutocorrelationModel, TimeGrid, build_sampler, harness
+from pulselab import (AutocorrelationModel, PiecewiseConstantPulse, TimeGrid, build_sampler,
+                      harness, load_catalog, save_catalog)
 from pulselab.cli import main
 
 #: one order-1 pulse turning by 2 pi: S = C = 0, but it is not a pi pulse
@@ -57,6 +58,17 @@ class TestCatalogValidate:
         assert run(["catalog-validate", "--catalog", TWO_PI_CATALOG]) == 3
         out = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in out] == ["FAIL", "PASS", "PASS"]
+
+
+    def test_repeated_pulse_name_is_config_error(self, tmp_path, capsys):
+        # names are upper-cased, so a RECT shape appended as "corpse" repeats CORPSE
+        catalog = load_catalog()
+        path = tmp_path / "dup.json"
+        save_catalog(list(catalog) + [PiecewiseConstantPulse(
+            "corpse", 1.0, catalog["RECT"].segments, 0)], path)
+        assert run(["catalog-validate", "--catalog", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config: cannot load catalog: pulse CORPSE is defined twice"]
 
 
 class TestScaling:
@@ -371,6 +383,11 @@ class TestOtherSubcommands:
          "--inv-v", "1e-3,1e-2,1e-1", "--realizations", "100", "--steps", "16"],
         ["noise-validate", "--model", "gaussian", "--gamma", "1e160",
          "--realizations", "100"],
+        # g(0) = g0^2 overflows or underflows
+        ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--g0", "1e160",
+         "--realizations", "100"],
+        ["noise-validate", "--model", "exponential", "--gamma", "0.5", "--g0", "1e-200",
+         "--realizations", "100"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
@@ -387,7 +404,8 @@ class TestOtherSubcommands:
             "scaling-below-fit-window", "scaling-two-in-fit-window",
             "scaling-invalid-catalog", "prefactor-invalid-catalog", "nogo-invalid-catalog",
             "scaling-repeated-pulse", "scaling-gaussian-gamma-squared-overflows",
-            "noise-validate-gaussian-gamma-squared-overflows"])
+            "noise-validate-gaussian-gamma-squared-overflows",
+            "noise-validate-g0-squared-overflows", "noise-validate-g0-squared-underflows"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         assert run(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -428,3 +446,92 @@ class TestOnlyReadOptions:
         assert run(["--config", str(cpath)] + args) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: config: unknown key {key!r} for {args[0]}"]
+
+
+NOISE_ARGS = ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--steps", "4",
+              "--realizations", "100"]
+
+
+class TestOneTypingPath:
+    """A config value is parsed exactly as its flag would be."""
+
+    @pytest.mark.parametrize("conf, message", [
+        ({"steps": 1.5}, "argument --steps: "),     # not silently truncated to 1 step
+        ({"seed": True}, "argument --seed: "),      # not silently seed 1
+        ({"gamma": [1, 2]}, "argument --gamma: "),  # a list becomes "1,2", not a float
+        ({"steps": "abc"}, "argument --steps: "),
+        ({"model": "cauchy"}, "argument --model: "),
+        # no flag carries a JSON object
+        ({"out": {"a": 1}}, "key 'out' must hold a value or a list of values"),
+        ({"out": ["a", ["b"]]}, "key 'out' must hold a value or a list of values"),
+    ], ids=["float-steps", "bool-seed", "list-gamma", "text-steps", "unknown-model",
+            "object-out", "nested-list-out"])
+    def test_refused_value_names_the_option(self, tmp_path, capsys, conf, message):
+        cpath = tmp_path / "run.json"
+        cpath.write_text(json.dumps(conf))
+        assert run(["--config", str(cpath)] + NOISE_ARGS[:1] + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config: {message}")
+
+    def test_config_catalog_is_a_path_not_a_file_descriptor(self, tmp_path):
+        # {"catalog": 5} names the file ./5; fd 5, open on a valid catalog, is not read
+        shipped = os.path.join(os.path.dirname(os.path.abspath(pulselab.__file__)), "data",
+                               "catalog.json")
+        (tmp_path / "run.json").write_text(json.dumps({"catalog": 5}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pulselab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m pulselab --config run.json catalog-validate 5< "$1"',
+             sys.executable, shipped], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2, proc.stdout
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: cannot load catalog: ")
+        assert "'5'" in err[0]
+
+    def test_numeric_out_is_a_directory_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps({"out": 5}))
+        assert run(["--config", "run.json"] + NOISE_ARGS) == 0
+        assert (tmp_path / "5" / "noise_validate.json").exists()
+        assert capsys.readouterr().err == ""
+
+    def test_invalid_env_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PULSELAB_SEED", "abc")
+        assert run(NOISE_ARGS + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: argument --seed: ")
+
+    def test_empty_env_seed_is_seed_zero(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PULSELAB_SEED", "")
+        assert run(NOISE_ARGS + ["--out", str(tmp_path / "env")]) == 0
+        monkeypatch.delenv("PULSELAB_SEED")
+        assert run(NOISE_ARGS + ["--seed", "0", "--out", str(tmp_path / "flag")]) == 0
+        assert ((tmp_path / "env" / "noise_validate.json").read_bytes()
+                == (tmp_path / "flag" / "noise_validate.json").read_bytes())
+
+
+# Every default the CLI owns, as its subcommand's --help shows it.
+HELP_DEFAULTS = {
+    None: [],
+    "scaling": ["results", "rect,corpse,scorpse", "0.001", "0.1", "8"],
+    "prefactor": ["results", "corpse", "3e-3,1e-2", "50000"],
+    "nogo": ["results", "scorpse", "1024"],
+    "design": ["results", "3"],
+    "noise-validate": ["results", "16", "1.0", "200000"],
+    "catalog-validate": [],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DEFAULTS), ids=lambda c: c or "top-level")
+def test_help_shows_each_default(monkeypatch, capsys, command):
+    # argparse %-formats every help text, so a bare % in one would crash --help
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run(([command] if command else []) + ["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.startswith("usage: pulselab")
+    for value in HELP_DEFAULTS[command]:
+        assert f"(default: {value})" in text
+    if command in ("scaling", "prefactor", "design", "noise-validate"):
+        assert "master RNG seed (default: $PULSELAB_SEED if set, else 0)" in text

@@ -59,6 +59,11 @@ class TestAutocorrelationModel:
             AutocorrelationModel("gaussian", g0=0.0, gamma=1.0)
         with pytest.raises(ValueError):
             AutocorrelationModel("gaussian", g0=1.0, gamma=-1.0)
+        # g(0) = g0^2 must be positive and finite: 1e160 overflows, 1e-200 underflows
+        for kind in ("gaussian", "exponential"):
+            for g0 in (1e160, 1e-200):
+                with pytest.raises(ValueError, match=r"g0\*\*2 positive and finite"):
+                    AutocorrelationModel(kind, g0=g0, gamma=0.5)
 
     def test_gaussian_gamma_squared_must_be_finite(self):
         # gamma^2 overflows above sqrt(float max) = 1.34e154

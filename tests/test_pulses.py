@@ -19,7 +19,7 @@ NAMES = ["RECT", "CORPSE", "SCORPSE", "CLASS2ND", "SYM2ND", "ASYM2ND"]
 
 class TestCatalogContent:
     def test_names(self, catalog):
-        assert catalog.names == NAMES
+        assert [p.name for p in catalog] == NAMES
 
     def test_corpse_structure(self, catalog):
         p = catalog["CORPSE"]
@@ -64,6 +64,15 @@ class TestCatalogContent:
             for sa, sb in zip(a.segments, b.segments):
                 assert (sa.start, sa.end, sa.amplitude_taup) == \
                     (sb.start, sb.end, sb.amplitude_taup)
+
+    def test_repeated_name_is_refused(self, catalog, tmp_path):
+        # names are upper-cased, so an order-0 RECT shape named "corpse"
+        # would silently replace CORPSE
+        path = tmp_path / "cat.json"
+        save_catalog(list(catalog) + [PiecewiseConstantPulse(
+            "corpse", 1.0, catalog["RECT"].segments, 0)], path)
+        with pytest.raises(ValueError, match="pulse CORPSE is defined twice"):
+            load_catalog(path)
 
 
 class TestAngle:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -202,6 +203,16 @@ def _known_pulse(catalog, name: str) -> str:
     return name
 
 
+def _check_out(out: str) -> None:
+    """Refuse an `--out` that cannot become a directory, creating nothing:
+    its nearest existing ancestor must be a directory."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValueError(f"--out {out!r}: {path} is not a directory")
+
+
 def _outdir(args: argparse.Namespace) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -234,18 +245,12 @@ def _valid_catalog(args: argparse.Namespace):
 def _cmd_scaling(args: argparse.Namespace) -> int:
     catalog = _valid_catalog(args)
     names = [_known_pulse(catalog, tok) for tok in _tokens(args.pulses)]
-    model = _model_from(args)
-    window = None
-    if args.fit_min is not None or args.fit_max is not None:
-        lo, hi = harness.DEFAULT_FIT_WINDOWS[model.kind]
-        window = (lo if args.fit_min is None else args.fit_min,
-                  hi if args.fit_max is None else args.fit_max)
     config = harness.ScalingExperimentConfig(
         pulses=tuple(names),
-        model=model,
+        model=_model_from(args),
         inv_v_grid=_inv_v_grid(args),
         seed=args.seed,
-        fit_window=window,
+        fit_window=(args.fit_min, args.fit_max),
         **_given(args, realizations="realizations", steps_per_pulse="steps",
                  workers="workers"),
     )
@@ -317,15 +322,18 @@ def _cmd_noise_validate(args: argparse.Namespace) -> int:
     grid = TimeGrid.uniform(args.span, n)
     sampler = build_sampler(model, grid, args.seed)
     # deviations from the mean eta0, whose covariance is the target, summed
-    # over the blocks of the sweep's draw loop (chunk c from stream (c,))
+    # over the blocks of the sweep's draw loop (chunk c from stream (c,));
+    # both are scaled by the power of two 2^-e near 1/g0, exactly, so that
+    # squaring the covariance can neither overflow nor underflow
+    e = math.frexp(model.g0)[1]
     sums, products = np.zeros(n), np.zeros((n, n))
     for block in harness._draws(sampler, m, harness.DEFAULT_CHUNK, 1, ()):
-        block = block.reshape(n, -1) - model.eta0
+        block = np.ldexp(block.reshape(n, -1) - model.eta0, -e)
         sums += block.sum(axis=1)
         products += block @ block.T
     sample_cov = products / m
     mean = sums / m
-    target = sampler.covariance
+    target = np.ldexp(sampler.covariance, -2 * e)
     se_cov = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / m)
     worst = float(np.abs((sample_cov - target) / se_cov).max())
     worst_mean = float(np.abs(mean / np.sqrt(np.diag(target) / m)).max())
@@ -356,6 +364,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
+        if hasattr(args, "out"):
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE

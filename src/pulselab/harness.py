@@ -70,7 +70,7 @@ class ScalingExperimentConfig:
     realizations: int = 20000
     steps_per_pulse: int = 512
     seed: int = 0
-    fit_window: Optional[tuple[float, float]] = None
+    fit_window: Optional[tuple[Optional[float], Optional[float]]] = None
     workers: int = 1
     chunk_size: int = DEFAULT_CHUNK
 
@@ -91,14 +91,16 @@ class ScalingExperimentConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.fit_window is not None and not 0 < self.fit_window[0] < self.fit_window[1]:
+        lo, hi = self.window
+        if not 0 < lo < hi:
             raise ValueError("fit_window must satisfy 0 < lo < hi")
 
     @property
     def window(self) -> tuple[float, float]:
-        if self.fit_window is not None:
-            return self.fit_window
-        return DEFAULT_FIT_WINDOWS[self.model.kind]
+        """`fit_window`, an end left None taking the model's default."""
+        lo, hi = self.fit_window or (None, None)
+        default_lo, default_hi = DEFAULT_FIT_WINDOWS[self.model.kind]
+        return (default_lo if lo is None else lo, default_hi if hi is None else hi)
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,8 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
                  window: tuple[float, float]) -> FitResult:
     """Fit log10(mean DF) vs log10(1/v) from (inv_v, mean_df2, stderr_df2) rows.
 
-    The uncertainty of log10 DF follows from the delta method,
+    The fit is numpy's weighted ``polyfit`` with weights 1/sigma_log, where
+    the uncertainty of log10 DF follows from the delta method,
     sigma_log = stderr_df2 / (2 mean_df2 ln 10); points outside the window,
     with a zero standard error or with relative standard error of DF above
     ``REL_STDERR_MAX`` are excluded.  Raises InsufficientPoints when the
@@ -229,21 +232,18 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
     if distinct < MIN_FIT_POINTS:
         raise InsufficientPoints(f"{len(usable)} usable points at {distinct} distinct 1/v "
                                  f"values after exclusion; need >= {MIN_FIT_POINTS}")
-    arr = np.array(usable)
-    # weighted least squares of log10 DF against log10(1/v)
-    lx = np.log10(arr[:, 0])
-    ly = np.log10(np.sqrt(arr[:, 1]))
-    w = 1.0 / (arr[:, 2] / (2.0 * arr[:, 1] * math.log(10.0))) ** 2
-    xm = np.sum(w * lx) / np.sum(w)
-    ym = np.sum(w * ly) / np.sum(w)
-    sxx = np.sum(w * (lx - xm) ** 2)
-    slope = float(np.sum(w * (lx - xm) * (ly - ym)) / sxx)
-    intercept = float(ym - slope * xm)
-    resid = ly - (intercept + slope * lx)
-    chi2_red = float(np.sum(w * resid**2) / (len(usable) - 2))
-    return FitResult(slope, math.sqrt(chi2_red / sxx), intercept,
-                     math.sqrt(chi2_red * (1.0 / np.sum(w) + xm**2 / sxx)),
-                     len(usable), tuple(excluded))
+    inv_v, mean_df2, stderr_df2 = np.array(usable).T
+    lx, ly = np.log10([inv_v, np.sqrt(mean_df2)])
+    sigma_log = stderr_df2 / (2.0 * mean_df2 * math.log(10.0))
+    # numpy's cov inverts the normal matrix: x and y centred on their weighted
+    # means keep it diagonal, where raw logs of clustered 1/v values lose up
+    # to 1e-7 of the errors
+    xm, ym = np.average([lx, ly], axis=1, weights=sigma_log**-2)
+    (slope, dy), cov = np.polyfit(lx - xm, ly - ym, 1, w=1.0 / sigma_log, cov=True)
+    # numpy scales cov by chi^2 / (n - 2), the reduced chi-square; the
+    # intercept ym + dy - slope xm has variance cov_11 + xm^2 cov_00
+    return FitResult(float(slope), math.sqrt(cov[0, 0]), float(ym + dy - slope * xm),
+                     math.sqrt(cov[1, 1] + xm**2 * cov[0, 0]), len(usable), tuple(excluded))
 
 
 # -- Monte-Carlo cells --------------------------------------------------------

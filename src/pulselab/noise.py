@@ -164,8 +164,9 @@ class NoiseSampler:
     Markov recursion's per-step coefficients (O(N) memory); for the Gaussian
     model it is the N x k matrix O_k sqrt(D_k) of the eigenpairs above the
     round-off band, and a draw takes k normals per realization.
-    ``covariance`` and ``transform`` are readable for both kinds; for the
-    exponential kind they are formed only when read.  Every draw goes through
+    ``covariance`` and ``transform`` are readable for both kinds; the
+    covariance is formed on each read, and the exponential kind's transform
+    when first read.  Every draw goes through
     ``sample_block(..., stream=(k, ...))``, which derives a counter-based
     generator from (seed, stream) and is therefore insensitive to scheduling.
     """
@@ -202,9 +203,10 @@ class NoiseSampler:
         keep = eigvals > EPS_CLIP * lam_max
         self.transform = eigvecs[:, keep] * np.sqrt(eigvals[keep])
 
-    @cached_property
+    @property
     def covariance(self) -> np.ndarray:
-        """G_ij = g(t_i - t_j) at the step midpoints."""
+        """G_ij = g(t_i - t_j) at the step midpoints, formed on each read, so
+        that no sampler holds an N x N array."""
         mids = self.grid.midpoints
         return self.model.evaluate(mids[:, None] - mids[None, :])
 

@@ -1,11 +1,12 @@
-"""2x2-matrix references that the tests compare the quaternion routes against.
+"""Independent references that the tests compare the package's routes against.
 
 The package evolves and measures realizations in SU(2) quaternion components,
 U = w 1 - i (x sx + y sy + z sz).  These slower, independent routes work on
 the matrices themselves: the Pauli matrices, the matrix of a quaternion and
 back, the polarized-state trace route of DF^2 and its partials, and the Bloch
 rotation that a quaternion applies to a polarization vector.  ``evolve_one``
-hands the package's kernel one realization at a time.
+hands the package's kernel one realization at a time.  ``weighted_fit``
+writes out the weighted least squares that ``fit_exponent`` leaves to numpy.
 """
 
 import numpy as np
@@ -66,3 +67,22 @@ def evolve_one(pulse, grid, eta) -> tuple[float, float, float, float]:
     value per step, or one value for every step."""
     block = np.broadcast_to(np.asarray(eta, dtype=float), (grid.n_steps,))[:, None]
     return tuple(c[0] for c in evolve_ensemble(pulse, grid, block))
+
+
+def weighted_fit(points) -> tuple[float, float, float, float]:
+    """(slope, slope_err, intercept, intercept_err) of log10 DF against
+    log10(1/v) from (inv_v, mean_df2, stderr_df2) rows, by the weighted sums:
+    weights 1/sigma_log^2 from the delta method, and both errors scaled by
+    the reduced chi-square chi^2 / (n - 2)."""
+    arr = np.array(points, dtype=float)
+    lx = np.log10(arr[:, 0])
+    ly = np.log10(np.sqrt(arr[:, 1]))
+    w = 1.0 / (arr[:, 2] / (2.0 * arr[:, 1] * np.log(10.0))) ** 2
+    xm = np.sum(w * lx) / np.sum(w)
+    ym = np.sum(w * ly) / np.sum(w)
+    sxx = np.sum(w * (lx - xm) ** 2)
+    slope = np.sum(w * (lx - xm) * (ly - ym)) / sxx
+    intercept = ym - slope * xm
+    chi2_red = np.sum(w * (ly - intercept - slope * lx) ** 2) / (len(arr) - 2)
+    return (float(slope), float(np.sqrt(chi2_red / sxx)), float(intercept),
+            float(np.sqrt(chi2_red * (1.0 / np.sum(w) + xm**2 / sxx))))

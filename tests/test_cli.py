@@ -11,7 +11,7 @@ import pytest
 
 import pulselab
 from pulselab import (AutocorrelationModel, PiecewiseConstantPulse, TimeGrid, build_sampler,
-                      harness, load_catalog, save_catalog)
+                      cli, harness, load_catalog, magnus, save_catalog)
 from pulselab.cli import main
 
 #: one order-1 pulse turning by 2 pi: S = C = 0, but it is not a pi pulse
@@ -306,6 +306,18 @@ class TestOtherSubcommands:
             "max_mean_sigma": float(np.abs(sums / m / np.sqrt(np.diag(target) / m)).max()),
             "realizations": m, "steps": n}
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("g0", ["1e-100", "1e150"])
+    def test_noise_validate_g0_whose_fourth_power_is_out_of_range(self, tmp_path, model, g0):
+        # g0^2 is in range but g0^4 is not: the statistics square the covariance
+        assert run(["noise-validate", "--model", model, "--gamma", "0.5", "--g0", g0,
+                    "--steps", "8", "--realizations", "4000", "--seed", "2",
+                    "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "noise_validate.json").read_text())
+        assert math.isfinite(payload["max_cov_sigma"])
+        assert math.isfinite(payload["max_mean_sigma"])
+
     @pytest.mark.parametrize("args", [
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
          "--realizations", "1"],
@@ -414,6 +426,48 @@ class TestOtherSubcommands:
     def test_usage_error_exit_code(self):
         assert run(["frobnicate"]) == 1
         assert run([]) == 1
+
+
+# one invocation per subcommand that writes to --out
+OUT_COMMANDS = {
+    "scaling": ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+                "--inv-v", "1e-3,3e-3,1e-2", "--realizations", "100", "--steps", "16"],
+    "prefactor": ["prefactor", "--model", "exponential", "--gamma", "0.01",
+                  "--realizations", "100", "--steps", "16"],
+    "nogo": ["nogo", "--pulse", "scorpse", "--grid", "64"],
+    "design": ["design", "--model", "exponential", "--gamma", "0.01", "--segments", "4"],
+    "noise-validate": ["noise-validate", "--model", "gaussian", "--gamma", "0.5",
+                       "--realizations", "100"],
+}
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("below", ["", "sub/dir"], ids=["file", "below-file"])
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_out_that_cannot_be_a_directory_is_refused_first(
+            self, tmp_path, monkeypatch, capsys, command, below):
+        def called(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+        for target in (harness, "run_scaling"), (harness, "run_prefactor_check"), \
+                (magnus, "minimize_i32"), (magnus, "verify_nogo"), (cli, "build_sampler"):
+            monkeypatch.setattr(*target, called)
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n")
+        out = os.path.join(blocker, below) if below else str(blocker)
+        assert run(OUT_COMMANDS[command] + ["--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ")
+        assert blocker.read_text() == "a file\n"
+
+    def test_invalid_input_creates_no_out_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["scaling", "--model", "exponential", "--pulses", "nope"]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_parents_are_created(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert run(OUT_COMMANDS["nogo"] + ["--out", str(out)]) == 0
+        assert (out / "nogo_scorpse.json").exists()
 
 
 # Options a subcommand would not read: (subcommand args, option, value).  Both

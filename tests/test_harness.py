@@ -9,11 +9,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pulselab import (AutocorrelationModel, InsufficientPoints, NotFirstOrder,
                       ScalingExperimentConfig, build_sampler, build_time_grid,
                       evaluate_i32, fit_exponent, harness, load_catalog,
                       run_prefactor_check, run_scaling, verify_nogo)
+from reference import weighted_fit
 
 EXP = AutocorrelationModel("exponential", gamma=0.01)
 GAUSS = AutocorrelationModel("gaussian", gamma=0.1)
@@ -86,6 +89,28 @@ class TestFitExponent:
         # three usable points at one 1/v leave the slope undetermined
         with pytest.raises(InsufficientPoints, match="1 distinct"):
             fit_exponent([(1e-2, 1e-4, 1e-6)] * 3, (1e-3, 1e-1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 40), st.floats(-0.01, 0.01),
+                                   st.floats(1e-4, 0.09)),
+                         min_size=3, max_size=12, unique_by=lambda row: row[0]),
+           exponent=st.floats(0.5, 3.0), log_c=st.floats(2.0, 4.0))
+    def test_matches_the_weighted_sums(self, rows, exponent, log_c):
+        # 1/v on a twentieth-decade grid across the window; DF a power law with
+        # scatter; relative stderr of DF^2 below twice REL_STDERR_MAX
+        pts = []
+        for k, scatter, rel in rows:
+            inv_v = 10.0 ** (-3 + k / 20)
+            mean_df2 = 10.0 ** (2 * (log_c + exponent * math.log10(inv_v) + scatter))
+            pts.append((inv_v, mean_df2, rel * mean_df2))
+        slope, slope_err, intercept, intercept_err = weighted_fit(pts)
+        # a scatter that a line absorbs leaves errors made of round-off alone
+        assume(slope_err > 1e-4 * slope)
+        fit = fit_exponent(pts, (1e-3, 1e-1))
+        assert fit.n_used == len(pts) and fit.excluded == ()
+        np.testing.assert_allclose([fit.slope, fit.intercept], [slope, intercept], rtol=1e-12)
+        np.testing.assert_allclose([fit.slope_err, fit.intercept_err],
+                                   [slope_err, intercept_err], rtol=1e-10)
 
 
 class TestRunScaling:
@@ -198,6 +223,14 @@ class TestRunScaling:
             small_config(fit_window=(3e-2, 1e-3))
         with pytest.raises(ValueError):
             small_config(workers=0)
+
+    def test_fit_window_end_left_none_takes_the_default(self):
+        assert small_config(fit_window=(2e-3, None)).window == (2e-3, 3e-2)
+
+    def test_fit_window_is_checked_after_the_default_fills_it(self):
+        # (None, 5e-4) resolves to (1e-3, 5e-4), an empty window
+        with pytest.raises(ValueError, match="fit_window"):
+            small_config(fit_window=(None, 5e-4))
 
     @pytest.mark.parametrize("pulses", [(), ("RECT", "CORPSE", "rect")],
                              ids=["empty", "repeated"])

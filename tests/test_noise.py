@@ -220,6 +220,20 @@ class TestGaussianSampler:
         block = sampler.sample_block(200, stream=stream)
         assert np.abs(block - (sampler.transform @ z + model.eta0)).max() <= 1e-12
 
+    def test_sampler_holds_no_covariance(self):
+        # the N x N covariance (8 MB here) is formed for eigh and then dropped:
+        # the sampler keeps its N x k transform alone
+        grid = TimeGrid.uniform(1.0, 1024)
+        model = AutocorrelationModel("gaussian", gamma=1.0)
+        tracemalloc.start()
+        try:
+            sampler = build_sampler(model, grid, seed=0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
+        assert sampler.covariance.shape == (1024, 1024)
+
     def test_gamma_zero_has_rank_one(self):
         model = AutocorrelationModel("gaussian", g0=1.5, gamma=0.0)
         sampler = build_sampler(model, TimeGrid.uniform(3.0, 64), seed=3)

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import harness, magnus
-from .errors import CatalogInvalid, PulselabError
+from .errors import PulselabError
 from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN, TimeGrid,
                     build_sampler)
 from .pulses import load_catalog, require_valid, save_catalog, validate_catalog
@@ -232,18 +232,8 @@ def _load_catalog(args: argparse.Namespace):
         raise ValueError(f"cannot load catalog: {exc}")
 
 
-def _valid_catalog(args: argparse.Namespace):
-    """The loaded catalog, refused as a configuration error unless every
-    ``catalog-validate`` check passes; the error names the first failure."""
-    try:
-        return require_valid(_load_catalog(args))
-    except CatalogInvalid as exc:
-        pulse, check, _, detail = exc.report.failures[0]
-        raise ValueError(f"invalid catalog: {pulse} {check}: {detail}")
-
-
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    catalog = _valid_catalog(args)
+    catalog = require_valid(_load_catalog(args))
     names = [_known_pulse(catalog, tok) for tok in _tokens(args.pulses)]
     config = harness.ScalingExperimentConfig(
         pulses=tuple(names),
@@ -265,7 +255,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_prefactor(args: argparse.Namespace) -> int:
-    catalog = _valid_catalog(args)
+    catalog = require_valid(_load_catalog(args))
     name = _known_pulse(catalog, args.pulse)
     rows = harness.run_prefactor_check(
         name, _model_from(args), _inv_v_values(args.inv_v),
@@ -282,7 +272,7 @@ def _cmd_prefactor(args: argparse.Namespace) -> int:
 
 
 def _cmd_nogo(args: argparse.Namespace) -> int:
-    catalog = _valid_catalog(args)
+    catalog = require_valid(_load_catalog(args))
     name = _known_pulse(catalog, args.pulse)
     model = None if args.model is None else _model_from(args)
     report = magnus.verify_nogo(catalog[name], args.grid, model=model)

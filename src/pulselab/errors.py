@@ -13,12 +13,9 @@ class OutOfRangeError(PulselabError):
     """Time argument outside the pulse window [0, tau_p]."""
 
 
-class CatalogInvalid(PulselabError):
-    """Pulse catalog failed one or more validation checks."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__("catalog validation failed:\n" + str(report))
+class CatalogInvalid(PulselabError, ValueError):
+    """Pulse catalog failed a validation check (an invalid argument); the
+    message names the first failed check."""
 
 
 class GridMismatch(PulselabError):
@@ -30,7 +27,8 @@ class NotFirstOrder(PulselabError, ValueError):
 
 
 class NoFeasiblePoint(PulselabError):
-    """Constrained search ended without a constraint-satisfying pulse."""
+    """Constrained search ended without a pulse that meets its constraints
+    within ``pulses.PULSE_TOL``."""
 
 
 class InsufficientPoints(PulselabError):

@@ -206,7 +206,8 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
     The fit is numpy's weighted ``polyfit`` with weights 1/sigma_log, where
     the uncertainty of log10 DF follows from the delta method,
     sigma_log = stderr_df2 / (2 mean_df2 ln 10); points outside the window,
-    with a zero standard error or with relative standard error of DF above
+    with a mean or standard error that is not finite, a mean that is not
+    positive, a zero standard error or a relative standard error of DF above
     ``REL_STDERR_MAX`` are excluded.  Raises InsufficientPoints when the
     usable points hold fewer than ``MIN_FIT_POINTS`` distinct 1/v values.
     """
@@ -215,6 +216,10 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
     for inv_v, mean_df2, stderr_df2 in points:
         if not _in_window(inv_v, window):
             excluded.append((inv_v, "outside fit window"))
+            continue
+        if not math.isfinite(mean_df2) or not math.isfinite(stderr_df2):
+            # an overflowed cell: nan fails every comparison below
+            excluded.append((inv_v, "non-finite mean"))
             continue
         if mean_df2 <= 0:
             excluded.append((inv_v, "non-positive mean"))

@@ -36,10 +36,9 @@ from scipy.optimize import minimize
 
 from .errors import NoFeasiblePoint
 from .noise import MAX_DENSE_N, AutocorrelationModel, _stream_generator
-from .pulses import (PiecewiseConstantPulse, PulseSegment, _layout, _require_first_order,
-                     _shape_sums, first_order_integrals, load_catalog)
-
-FEASIBILITY_TOL = 1e-8
+from .pulses import (PULSE_TOL, PiecewiseConstantPulse, PulseSegment, _layout,
+                     _pi_pulse_residuals, _require_first_order, _shape_sums,
+                     first_order_integrals, load_catalog)
 
 DEFAULT_V_MAX_TAUP = 4.0 * math.pi
 
@@ -208,8 +207,10 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
 
     Returns (best_pulse, i32_min) with the pulse at tau_p = 1.
 
-    Raises NoFeasiblePoint when no candidate meets the constraints within
-    FEASIBILITY_TOL.
+    A candidate counts only when every constraint holds within
+    ``pulses.PULSE_TOL``, the rule ``validate_catalog`` applies, so the
+    returned design passes catalog validation.  Raises NoFeasiblePoint when
+    no candidate does.
     """
     if n_segments < 3:
         raise ValueError("need at least 3 segments")
@@ -225,9 +226,9 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
     @lru_cache(maxsize=64)  # SLSQP asks for K and the constraints at the same points
     def evaluate(key: bytes) -> tuple[float, np.ndarray]:
         theta = np.frombuffer(key)
-        angle, f1, _, _, k_val = _shape_sums(*_layout_of_params(theta))
-        return k_val, np.array([angle - math.pi, f1.imag, f1.real,
-                                theta[: theta.size // 2].sum() - 1.0])
+        sums = _shape_sums(*_layout_of_params(theta))
+        width_sum = theta[: theta.size // 2].sum()
+        return sums[4], np.array([*_pi_pulse_residuals(sums), width_sum - 1.0])
 
     def kernel(theta):
         return evaluate(theta.tobytes())[0]
@@ -265,7 +266,7 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
                            options={"maxiter": budget, "ftol": 1e-15})
             for theta in (theta0, sol.x):
                 val, cons = evaluate(theta.tobytes())
-                if np.abs(cons).max() <= FEASIBILITY_TOL and val < best_val:
+                if np.abs(cons).max() <= PULSE_TOL and val < best_val:
                     best, best_val = theta, val
         if best is None:
             raise NoFeasiblePoint(

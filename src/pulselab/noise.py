@@ -152,6 +152,8 @@ def _subdivide(points: np.ndarray, counts) -> TimeGrid:
 
 def _stream_generator(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based Philox generator of (seed, stream), whatever the draw order."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=stream)
     return np.random.Generator(np.random.Philox(seq))
 

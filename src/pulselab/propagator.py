@@ -85,18 +85,20 @@ def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
     z = np.zeros(batch)
     for eta, v, dt in zip(eta_block, pulse.amplitudes_on(grid.midpoints).tolist(),
                           grid.widths.tolist()):
-        # a huge eta overflows p and the series to inf; the exact route takes it
-        with np.errstate(over="ignore"):
+        # a huge eta overflows p and the series to inf; the exact route takes
+        # it, where h dt may overflow too and its cos and sin become nan, a
+        # cell that the fit excludes
+        with np.errstate(over="ignore", invalid="ignore"):
             p = eta * eta
             p += v * v
             p *= dt * dt             # the squared step phase (h dt)^2
             c = _series(p, _COS_SERIES)
             s_over_h = dt * _series(p, _SINC_SERIES)
-        if p.max() > P_SERIES_MAX:
-            big = p > P_SERIES_MAX
-            h = np.hypot(eta[big], v)
-            c[big] = np.cos(h * dt)
-            s_over_h[big] = np.sin(h * dt) / h
+            if p.max() > P_SERIES_MAX:
+                big = p > P_SERIES_MAX
+                h = np.hypot(eta[big], v)
+                c[big] = np.cos(h * dt)
+                s_over_h[big] = np.sin(h * dt) / h
         sx = v * s_over_h
         sz = eta * s_over_h
         # left-multiply by the step quaternion (c, sx, 0, sz)

@@ -28,8 +28,10 @@ import numpy as np
 from .errors import CatalogInvalid, NotFirstOrder, OutOfRangeError
 from .noise import TimeGrid, _subdivide
 
-ANGLE_TOL = 1e-9
-FIRST_ORDER_TOL = 1e-9
+#: the one tolerance of a first-order pi-pulse, in fraction units: catalog
+#: validation, the first-order requirement and the design search accept a
+#: shape when |psi(1) - pi|, |S|/tau_p and |C|/tau_p are at most this
+PULSE_TOL = 1e-9
 
 #: below this angle |b dx| of a segment the closed forms lose digits to
 #: cancellation (about 14 are left just above it) and Taylor series take over,
@@ -217,10 +219,17 @@ def first_order_integrals(pulse: PiecewiseConstantPulse) -> tuple[float, float]:
     return f1.imag * pulse.tau_p, f1.real * pulse.tau_p
 
 
+def _pi_pulse_residuals(sums: tuple) -> tuple[float, float, float]:
+    """(psi(1) - pi, S/tau_p, C/tau_p) from a shape's ``_shape_sums``: all three
+    lie within PULSE_TOL of 0 for a first-order pi-pulse."""
+    angle, f1 = sums[:2]
+    return angle - math.pi, f1.imag, f1.real
+
+
 def _require_first_order(pulse: PiecewiseConstantPulse) -> None:
-    """Raise NotFirstOrder unless |S| and |C| are at most FIRST_ORDER_TOL * tau_p."""
+    """Raise NotFirstOrder unless |S| and |C| are at most PULSE_TOL * tau_p."""
     s_val, c_val = first_order_integrals(pulse)
-    tol = FIRST_ORDER_TOL * pulse.tau_p
+    tol = PULSE_TOL * pulse.tau_p
     if max(abs(s_val), abs(c_val)) > tol:
         raise NotFirstOrder(f"{pulse.name} is not a first-order pulse: "
                             f"S={s_val:.2e}, C={c_val:.2e} exceed {tol:.1e}")
@@ -248,12 +257,22 @@ class PulseCatalog:
         return iter(self.pulses.values())
 
 
-def _pulse_from_record(rec: dict) -> PiecewiseConstantPulse:
-    segments = tuple(
-        PulseSegment(float(s["start"]), float(s["end"]), float(s["amplitude_taup"]))
-        for s in rec["segments"]
-    )
-    return PiecewiseConstantPulse(rec["name"].upper(), 1.0, segments, int(rec.get("order", 0)))
+def _pulse_from_record(k: int, rec) -> PiecewiseConstantPulse:
+    """The pulse of record k; a record of the wrong shape is a ValueError."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"record {k} is not an object")
+    name, segs = rec.get("name"), rec.get("segments")
+    if not isinstance(name, str):
+        raise ValueError(f"record {k}: name must be a string, got {name!r}")
+    if not (isinstance(segs, list) and all(isinstance(s, dict) for s in segs)):
+        raise ValueError(f"record {k} ({name}): segments must be a list of objects")
+    try:
+        segments = tuple(PulseSegment(float(s["start"]), float(s["end"]),
+                                      float(s["amplitude_taup"])) for s in segs)
+        order = int(rec.get("order", 0))
+    except TypeError as exc:   # a null, list or object where a number belongs
+        raise ValueError(f"record {k} ({name}): {exc}") from None
+    return PiecewiseConstantPulse(name.upper(), 1.0, segments, order)
 
 
 def _pulse_to_record(pulse: PiecewiseConstantPulse) -> dict:
@@ -270,6 +289,8 @@ def _pulse_to_record(pulse: PiecewiseConstantPulse) -> dict:
 def load_catalog(path=None) -> PulseCatalog:
     """Load a catalog JSON file; defaults to the shipped catalog.
 
+    The file holds a non-empty list of records, each an object with a string
+    ``name`` and a list of segment objects; anything else is a ValueError.
     Names are upper-cased, and a name given twice (in any case) is refused.
     Numeric fields are decimal strings so the file preserves the full
     precision that the shipped shapes were specified with.
@@ -280,9 +301,11 @@ def load_catalog(path=None) -> PulseCatalog:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     records = json.loads(text)
+    if not isinstance(records, list) or not records:
+        raise ValueError("a catalog is a non-empty JSON list of pulse records")
     pulses = {}
-    for rec in records:
-        pulse = _pulse_from_record(rec)
+    for k, rec in enumerate(records):
+        pulse = _pulse_from_record(k, rec)
         if pulse.name in pulses:
             raise ValueError(f"pulse {pulse.name} is defined twice")
         pulses[pulse.name] = pulse
@@ -322,28 +345,28 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+_CHECKS = (("total-angle", "|psi(tau_p) - pi|"), ("first-order-sin", "|S|"),
+           ("first-order-cos", "|C|"))
+
+
 def validate_catalog(catalog: PulseCatalog) -> ValidationReport:
-    """Check total angle = pi for every pulse and S = C = 0 for order >= 1."""
+    """Check total angle = pi for every pulse and S = C = 0 for order >= 1,
+    each within PULSE_TOL, from one pass over each (unit-duration) shape."""
     report = ValidationReport()
     for pulse in catalog:
-        angle_err = abs(pulse.total_angle - math.pi)
-        report.add(pulse.name, "total-angle",
-                   angle_err <= ANGLE_TOL,
-                   f"|psi(tau_p) - pi| = {angle_err:.2e}")
-        if pulse.order >= 1:
-            s_val, c_val = first_order_integrals(pulse)
-            tol = FIRST_ORDER_TOL * pulse.tau_p
-            report.add(pulse.name, "first-order-sin",
-                       abs(s_val) <= tol, f"|S| = {abs(s_val):.2e}")
-            report.add(pulse.name, "first-order-cos",
-                       abs(c_val) <= tol, f"|C| = {abs(c_val):.2e}")
+        residuals = _pi_pulse_residuals(_shape_sums(*_layout(pulse.segments)))
+        checks = _CHECKS if pulse.order >= 1 else _CHECKS[:1]   # order 0: the angle alone
+        for (check, label), value in zip(checks, residuals):
+            report.add(pulse.name, check, abs(value) <= PULSE_TOL, f"{label} = {abs(value):.2e}")
     return report
 
 
 def require_valid(catalog: PulseCatalog) -> PulseCatalog:
-    report = validate_catalog(catalog)
-    if not report.ok:
-        raise CatalogInvalid(report)
+    """The catalog, or CatalogInvalid naming its first failed check."""
+    failures = validate_catalog(catalog).failures
+    if failures:
+        pulse, check, _, detail = failures[0]
+        raise CatalogInvalid(f"invalid catalog: {pulse} {check}: {detail}")
     return catalog
 
 

@@ -23,6 +23,18 @@ def run(args):
     return main(args)
 
 
+class CatalogText(str):
+    """Catalog file contents that a test writes to a file and passes as its path."""
+
+
+def _written(arg, tmp_path):
+    if isinstance(arg, CatalogText):
+        path = tmp_path / "catalog.json"
+        path.write_text(arg)
+        return str(path)
+    return arg
+
+
 class TestCatalogValidate:
     def test_shipped_catalog_ok(self, capsys):
         assert run(["catalog-validate"]) == 0
@@ -92,6 +104,17 @@ class TestScaling:
         code = run(["scaling", "--model", "exponential", "--gamma", "0.01",
                     "--eta0", "1e160", "--pulses", "rect", "--realizations", "50",
                     "--steps", "16", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: numerical: ")
+
+    def test_overflowing_cells_are_numerical_error(self, tmp_path, capsys):
+        # eta0 = 1e308 overflows h dt in the exact step, so every cell's mean
+        # is nan: the fit excludes each one, with no warning on the way
+        code = run(["scaling", "--model", "exponential", "--eta0", "1e308",
+                    "--inv-v", "10,100,1000", "--pulses", "rect", "--steps", "8",
+                    "--realizations", "50", "--fit-min", "1e-4", "--fit-max", "1e4",
+                    "--out", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: numerical: ")
@@ -226,12 +249,17 @@ class TestOtherSubcommands:
         assert payload["identity_residual"] > 0
 
     def test_design(self, tmp_path):
-        code = run(["design", "--model", "exponential", "--gamma", "0.01",
-                    "--segments", "3", "--restarts", "1", "--budget", "400",
-                    "--seed", "1", "--out", str(tmp_path)])
-        assert code == 0
-        recs = json.loads((tmp_path / "designed_pulse.json").read_text())
-        assert len(recs) == 1 and len(recs[0]["segments"]) == 3
+        # the search accepts a design under the rule catalog-validate applies,
+        # so its file validates; a 5-iteration search ends near the bound
+        for budget, seed in (("400", "1"), ("5", "0")):
+            out = tmp_path / budget
+            code = run(["design", "--model", "exponential", "--gamma", "0.01",
+                        "--segments", "3", "--restarts", "1", "--budget", budget,
+                        "--seed", seed, "--out", str(out)])
+            assert code == 0
+            recs = json.loads((out / "designed_pulse.json").read_text())
+            assert len(recs) == 1 and len(recs[0]["segments"]) == 3
+            assert run(["catalog-validate", "--catalog", str(out / "designed_pulse.json")]) == 0
 
     def test_noise_validate(self, tmp_path):
         code = run(["noise-validate", "--model", "gaussian", "--gamma", "0.5",
@@ -400,6 +428,27 @@ class TestOtherSubcommands:
          "--realizations", "100"],
         ["noise-validate", "--model", "exponential", "--gamma", "0.5", "--g0", "1e-200",
          "--realizations", "100"],
+        # a catalog file of the wrong shape, or an empty one, is refused on loading
+        ["catalog-validate", "--catalog", CatalogText("[5]")],
+        ["catalog-validate", "--catalog", CatalogText('{"RECT": 1}')],
+        ["catalog-validate", "--catalog", CatalogText(
+            '[{"name": 5, "segments": [{"start": "0", "end": "1", "amplitude_taup": "1"}]}]')],
+        ["catalog-validate", "--catalog", CatalogText('[{"name": "X", "segments": 5}]')],
+        ["catalog-validate", "--catalog", CatalogText("[]")],
+        ["catalog-validate", "--catalog", CatalogText(
+            '[{"name": "X", "segments": [{"start": null, "end": "1", "amplitude_taup": "1"}]}]')],
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+         "--catalog", CatalogText("[5]")],
+        ["prefactor", "--model", "exponential", "--gamma", "0.01", "--catalog",
+         CatalogText("[5]")],
+        ["nogo", "--catalog", CatalogText("[5]")],
+        # a negative seed is refused where the first stream is drawn
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+         "--inv-v", "1e-3,3e-3,1e-2", "--realizations", "100", "--steps", "16",
+         "--seed", "-1"],
+        ["design", "--model", "exponential", "--gamma", "0.01", "--seed", "-1"],
+        ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--realizations", "100",
+         "--seed", "-1"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
@@ -417,9 +466,16 @@ class TestOtherSubcommands:
             "scaling-invalid-catalog", "prefactor-invalid-catalog", "nogo-invalid-catalog",
             "scaling-repeated-pulse", "scaling-gaussian-gamma-squared-overflows",
             "noise-validate-gaussian-gamma-squared-overflows",
-            "noise-validate-g0-squared-overflows", "noise-validate-g0-squared-underflows"])
+            "noise-validate-g0-squared-overflows", "noise-validate-g0-squared-underflows",
+            "catalog-not-a-list", "catalog-record-not-an-object", "catalog-name-not-a-string",
+            "catalog-segments-not-a-list", "catalog-empty", "catalog-null-number",
+            "scaling-malformed-catalog", "prefactor-malformed-catalog",
+            "nogo-malformed-catalog", "scaling-negative-seed", "design-negative-seed",
+            "noise-validate-negative-seed"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
-        assert run(args + ["--out", str(tmp_path)]) == 2
+        args = [_written(arg, tmp_path) for arg in args]
+        out = [] if args[0] == "catalog-validate" else ["--out", str(tmp_path)]
+        assert run(args + out) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: ")
 
@@ -556,6 +612,15 @@ class TestOneTypingPath:
         assert run(NOISE_ARGS + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: argument --seed: ")
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_error_names_the_seed(self, tmp_path, monkeypatch, capsys, source):
+        if source == "env":
+            monkeypatch.setenv("PULSELAB_SEED", "-1")
+        flag = ["--seed", "-1"] if source == "flag" else []
+        assert run(NOISE_ARGS + flag + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config: seed must be a non-negative integer, got -1"]
 
     def test_empty_env_seed_is_seed_zero(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PULSELAB_SEED", "")

@@ -74,6 +74,15 @@ class TestFitExponent:
         assert fit.excluded == ((zero[0], "zero standard error"),)
         assert dataclasses.replace(fit, excluded=()) == fit_exponent(pts, (1e-3, 1e-1))
 
+    def test_non_finite_point_is_excluded(self):
+        # nan fails every comparison of the other exclusions, so it has its own
+        xs = np.geomspace(1e-3, 1e-1, 3)
+        pts = [(x, (0.7 * x**2) ** 2, 1e-3 * (0.7 * x**2) ** 2) for x in xs]
+        for bad in ((0.01 * 1.11, math.nan, 1e-6), (0.01 * 1.11, 1e-6, math.inf)):
+            fit = fit_exponent(pts + [bad], (1e-3, 1e-1))
+            assert fit.excluded == ((bad[0], "non-finite mean"),)
+            assert dataclasses.replace(fit, excluded=()) == fit_exponent(pts, (1e-3, 1e-1))
+
     def test_window_filtering(self):
         xs = np.geomspace(1e-4, 1.0, 10)
         pts = [(x, x**2, 1e-9 * x**2) for x in xs]

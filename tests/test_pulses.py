@@ -171,8 +171,11 @@ class TestValidation:
         report = validate_catalog(PulseCatalog({"SCORPSE": bad}))
         assert not report.ok
         assert any(c[1] == "total-angle" for c in report.failures)
-        with pytest.raises(CatalogInvalid):
+        # an invalid argument, named by its first failed check
+        with pytest.raises(ValueError, match=r"^invalid catalog: SCORPSE total-angle: "
+                                             r"\|psi\(tau_p\) - pi\| = 6\.28e\+00$") as exc:
             require_valid(PulseCatalog({"SCORPSE": bad}))
+        assert isinstance(exc.value, CatalogInvalid)
 
     def test_segment_tiling_enforced(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,10 @@ Subcommands
     noise-validate   sample-covariance check of the noise synthesis
     catalog-validate consistency checks of a pulse catalog file
 
+This module parses the options, calls the library and prints; `harness`
+formats and writes every file under ``--out`` but the designed pulse, which
+`pulses.save_catalog` writes.
+
 Every option can also come from a flat JSON config file (``--config``),
 parsed exactly as its flag would be; explicit flags win, and a key that is
 not an option of the chosen subcommand is a configuration error.  The
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -205,7 +208,9 @@ def _known_pulse(catalog, name: str) -> str:
 
 def _check_out(out: str) -> None:
     """Refuse an `--out` that cannot become a directory, creating nothing:
-    its nearest existing ancestor must be a directory."""
+    it is not empty, and its nearest existing ancestor is a directory."""
+    if not out:
+        raise ValueError("--out must not be empty")
     path = os.path.abspath(out)
     while not os.path.exists(path):
         path = os.path.dirname(path)
@@ -213,16 +218,9 @@ def _check_out(out: str) -> None:
         raise ValueError(f"--out {out!r}: {path} is not a directory")
 
 
-def _outdir(args: argparse.Namespace) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _write(args: argparse.Namespace, name: str, text: str) -> None:
-    path = os.path.join(_outdir(args), name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
+    for path in harness.write_files(args.out, {name: text}):
+        print(f"wrote {path}")
 
 
 def _load_catalog(args: argparse.Namespace):
@@ -245,12 +243,11 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
                  workers="workers"),
     )
     result = harness.run_scaling(config, catalog)
-    out = _outdir(args)
-    result.write(out)
+    result.write(args.out)
     for name, fit in result.fits.items():
         print(f"{name}: slope {fit.slope:.3f} +- {fit.slope_err:.3f} "
               f"({fit.n_used} points)")
-    print(f"wrote {out}/scaling.csv and {out}/summary.json")
+    print(f"wrote {args.out}/scaling.csv and {args.out}/summary.json")
     return 0
 
 
@@ -264,10 +261,7 @@ def _cmd_prefactor(args: argparse.Namespace) -> int:
     )
     for r in rows:
         print(f"1/v={r.inv_v:9.3e}: ratio {r.ratio:.4f} +- {r.ratio_err:.4f}")
-    _write(args, f"prefactor_{name.lower()}.csv",
-           "inv_v,measured_df2,stderr_df2,predicted_df2,ratio,ratio_err\n"
-           + "".join(f"{r.inv_v!r},{r.measured_df2!r},{r.stderr_df2!r},"
-                     f"{r.predicted_df2!r},{r.ratio!r},{r.ratio_err!r}\n" for r in rows))
+    _write(args, f"prefactor_{name.lower()}.csv", harness.prefactor_csv(rows))
     return 0
 
 
@@ -276,20 +270,9 @@ def _cmd_nogo(args: argparse.Namespace) -> int:
     name = _known_pulse(catalog, args.pulse)
     model = None if args.model is None else _model_from(args)
     report = magnus.verify_nogo(catalog[name], args.grid, model=model)
-    payload = {
-        "pulse": name.upper(),
-        "grid_n": report.grid_n,
-        "quad_a_cos": report.quad_a_cos,
-        "quad_a_sin": report.quad_a_sin,
-        "b_norm_cos": report.b_norm_cos,
-        "b_norm_sin": report.b_norm_sin,
-        "i32_kernel": report.i32_kernel,
-        "i32_discrete": report.i32_discrete,
-        "identity_residual": report.identity_residual,
-    }
     print(f"I_3/2 kernel form: {report.i32_kernel:.6e} (positive: "
           f"{report.i32_kernel > 0}); identity residual {report.identity_residual:.3e}")
-    _write(args, f"nogo_{name.lower()}.json", json.dumps(payload, indent=2) + "\n")
+    _write(args, f"nogo_{name.lower()}.json", harness.nogo_json(name, report))
     return 0
 
 
@@ -298,39 +281,19 @@ def _cmd_design(args: argparse.Namespace) -> int:
         n_segments=args.segments, model=_model_from(args), seed=args.seed,
         **_given(args, budget="budget", restarts="restarts", v_max_taup="vmax"),
     )
-    path = os.path.join(_outdir(args), "designed_pulse.json")
+    path = os.path.join(args.out, "designed_pulse.json")
     save_catalog([pulse], path)
     print(f"best feasible I_3/2 = {i32_min:.6e} (tau_p = 1); pulse written to {path}")
     return 0
 
 
 def _cmd_noise_validate(args: argparse.Namespace) -> int:
-    model = _model_from(args)
-    n, m = args.steps, args.realizations
-    if m < 2:
-        raise ValueError("need at least 2 realizations")
-    grid = TimeGrid.uniform(args.span, n)
-    sampler = build_sampler(model, grid, args.seed)
-    # deviations from the mean eta0, whose covariance is the target, summed
-    # over the blocks of the sweep's draw loop (chunk c from stream (c,));
-    # both are scaled by the power of two 2^-e near 1/g0, exactly, so that
-    # squaring the covariance can neither overflow nor underflow
-    e = math.frexp(model.g0)[1]
-    sums, products = np.zeros(n), np.zeros((n, n))
-    for block in harness._draws(sampler, m, harness.DEFAULT_CHUNK, 1, ()):
-        block = np.ldexp(block.reshape(n, -1) - model.eta0, -e)
-        sums += block.sum(axis=1)
-        products += block @ block.T
-    sample_cov = products / m
-    mean = sums / m
-    target = np.ldexp(sampler.covariance, -2 * e)
-    se_cov = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / m)
-    worst = float(np.abs((sample_cov - target) / se_cov).max())
-    worst_mean = float(np.abs(mean / np.sqrt(np.diag(target) / m)).max())
+    sampler = build_sampler(_model_from(args), TimeGrid.uniform(args.span, args.steps),
+                            args.seed)
+    stats = harness.noise_statistics(sampler, args.realizations)
+    worst, worst_mean = stats["max_cov_sigma"], stats["max_mean_sigma"]
     print(f"max covariance deviation {worst:.2f} sigma; max mean {worst_mean:.2f} sigma")
-    _write(args, "noise_validate.json", json.dumps(
-        {"max_cov_sigma": worst, "max_mean_sigma": worst_mean, "realizations": m, "steps": n},
-        indent=2) + "\n")
+    _write(args, "noise_validate.json", harness.json_text(stats))
     return 0 if worst < 5.0 and worst_mean < 5.0 else EXIT_NUMERICAL
 
 

@@ -19,13 +19,20 @@ matmul release the GIL); the calling thread then evolves the group as one
 one thread: run on several threads, its many small ufunc calls hand the GIL
 back and forth and run slower than one after the other.  The remainder comes
 last, as a short group of one narrower chunk drawn into the head of the same
-buffer.  `noise-validate` sums the same blocks.
+buffer.  `noise_statistics`, behind `noise-validate`, sums the same blocks.
 
-One sweep, `_sweep`, walks the cells of a `ScalingExperimentConfig`:
-`run_scaling` fits them and `run_prefactor_check` compares a one-pulse sweep
-with the cubic law.  One cell runner, `_run_cell`, evolves every cell of the
-sweep.  Every fit, `.dat` file and cell reads mean DF^2, the quantity the
-analytic scaling laws predict.
+One sweep, `_sweep`, walks the cells of a `ScalingExperimentConfig` and
+yields each as the one cell record, `CellStats`: `run_scaling` fits each
+pulse from its cells once the sweep is done, and `run_prefactor_check`
+compares a one-pulse sweep with the cubic law.  One cell runner, `_run_cell`,
+evolves every cell of the sweep.  Every fit, `.dat` file and cell reads mean
+DF^2, the quantity the analytic scaling laws predict.
+
+Every run file but the catalog that `design` writes (`pulses.save_catalog`)
+is formatted here: one table formatter, `_table_text`, for `scaling.csv`, the
+prefactor CSV and the `.dat` files, and one JSON formatter, `json_text`, for
+`summary.json`, the no-go report and the noise statistics.  One writer,
+`write_files`, puts ``{name: text}`` into an output directory, creating it.
 """
 
 from __future__ import annotations
@@ -33,14 +40,15 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import InsufficientPoints
-from .magnus import evaluate_i32
+from .magnus import NoGoReport, evaluate_i32
 from .metrics import MonteCarloEstimate, accumulate_values, ensemble_frobenius
 from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN, NoiseSampler,
                     build_sampler)
@@ -143,52 +151,80 @@ class ScalingResult:
                   "partial_z,polarization_dev,realizations")
 
     def csv_text(self) -> str:
-        lines = [self.CSV_HEADER]
-        for c in self.cells:
-            lines.append(",".join([
-                c.pulse, repr(c.inv_v),
-                repr(c.estimate.mean_df2), repr(c.estimate.stderr_df2),
-                repr(c.estimate.mean_df),
-                repr(c.partials[0].mean_df2), repr(c.partials[1].mean_df2),
-                repr(c.partials[2].mean_df2),
-                repr(c.poldev.mean_df2), str(c.estimate.realizations),
-            ]))
-        return "\n".join(lines) + "\n"
-
-    def summary_dict(self) -> dict:
-        return {
-            "model": asdict(self.config.model),
-            "seed": self.config.seed,
-            "realizations": self.config.realizations,
-            "steps_per_pulse": self.config.steps_per_pulse,
-            "fit_window": list(self.config.window),
-            "fits": {name: asdict(fit) for name, fit in self.fits.items()},
-        }
+        return _table_text(self.CSV_HEADER, [
+            (c.pulse, c.inv_v, c.estimate.mean_df2, c.estimate.stderr_df2, c.estimate.mean_df,
+             *(p.mean_df2 for p in c.partials), c.poldev.mean_df2, c.estimate.realizations)
+            for c in self.cells])
 
     def write(self, outdir: str) -> None:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "scaling.csv"), "w", encoding="utf-8") as fh:
-            fh.write(self.csv_text())
-        with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.summary_dict(), fh, indent=2)
-            fh.write("\n")
-        for name in self.config.pulses:
-            rows = self.cells_for(name)
-            path = os.path.join(outdir, f"{name.lower()}.dat")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("# inv_v  mean_df  stderr_df\n")
-                for c in rows:
-                    df = c.estimate.mean_df
-                    sd = c.estimate.stderr_df2 / (2.0 * df) if df > 0 else math.inf
-                    fh.write(f"{c.inv_v!r} {df!r} {sd!r}\n")
+        """Write scaling.csv, summary.json and each pulse's .dat files."""
+        config = self.config
+        files = {"scaling.csv": self.csv_text(), "summary.json": json_text({
+            "model": asdict(config.model),
+            "seed": config.seed,
+            "realizations": config.realizations,
+            "steps_per_pulse": config.steps_per_pulse,
+            "fit_window": list(config.window),
+            "fits": {name: asdict(fit) for name, fit in self.fits.items()},
+        })}
+        for name in config.pulses:
+            files[f"{name.lower()}.dat"] = _table_text("# inv_v  mean_df  stderr_df", [
+                (c.inv_v, c.estimate.mean_df, _stderr_df(c.estimate))
+                for c in self.cells_for(name)], " ")
             fit = self.fits.get(name)
             if fit is not None and math.isfinite(fit.slope):
-                lo, hi = self.config.window
-                with open(os.path.join(outdir, f"{name.lower()}_fit.dat"), "w",
-                          encoding="utf-8") as fh:
-                    fh.write("# inv_v  fitted_df\n")
-                    for x in (lo, hi):
-                        fh.write(f"{x!r} {10 ** (fit.intercept + fit.slope * math.log10(x))!r}\n")
+                files[f"{name.lower()}_fit.dat"] = _table_text("# inv_v  fitted_df", [
+                    (x, 10 ** (fit.intercept + fit.slope * math.log10(x)))
+                    for x in config.window], " ")
+        write_files(outdir, files)
+
+
+# -- run files ----------------------------------------------------------------
+
+
+def _stderr_df(estimate: MonteCarloEstimate) -> float:
+    """The delta-method error of mean_df = sqrt(mean DF^2)."""
+    df = estimate.mean_df
+    return estimate.stderr_df2 / (2.0 * df) if df > 0 else math.inf
+
+
+def _table_text(header: str, rows: Iterable[Sequence], sep: str = ",") -> str:
+    """The header line, then one line of `sep`-joined fields per row.  A field
+    is written as its str(), which for a float or an int equals its repr and
+    leaves a name unquoted."""
+    return "".join(f"{line}\n" for line in [header, *(sep.join(map(str, r)) for r in rows)])
+
+
+def json_text(payload: dict) -> str:
+    """`payload` as indented JSON and a final newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def write_files(outdir: str, files: dict[str, str]) -> list[str]:
+    """Write each ``{name: text}`` of `files` into `outdir`, creating it, and
+    return the paths written."""
+    os.makedirs(outdir, exist_ok=True)
+    paths = [os.path.join(outdir, name) for name in files]
+    for path, text in zip(paths, files.values()):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return paths
+
+
+def prefactor_csv(rows: Sequence[PrefactorRow]) -> str:
+    return _table_text("inv_v,measured_df2,stderr_df2,predicted_df2,ratio,ratio_err", [
+        (r.inv_v, r.measured_df2, r.stderr_df2, r.predicted_df2, r.ratio, r.ratio_err)
+        for r in rows])
+
+
+#: the no-go report's fields in the order its JSON lists them, after the pulse
+_NOGO_FIELDS = ("grid_n", "quad_a_cos", "quad_a_sin", "b_norm_cos", "b_norm_sin",
+                "i32_kernel", "i32_discrete", "identity_residual")
+
+
+def nogo_json(pulse: str, report: NoGoReport) -> str:
+    return json_text({"pulse": pulse.upper(),
+                      **{key: getattr(report, key) for key in _NOGO_FIELDS}})
 
 
 # -- fitting -----------------------------------------------------------------
@@ -208,8 +244,9 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
     sigma_log = stderr_df2 / (2 mean_df2 ln 10); points outside the window,
     with a mean or standard error that is not finite, a mean that is not
     positive, a zero standard error or a relative standard error of DF above
-    ``REL_STDERR_MAX`` are excluded.  Raises InsufficientPoints when the
-    usable points hold fewer than ``MIN_FIT_POINTS`` distinct 1/v values.
+    ``REL_STDERR_MAX`` are excluded.  Raises InsufficientPoints, counting
+    the exclusions by reason, when the usable points hold fewer than
+    ``MIN_FIT_POINTS`` distinct 1/v values.
     """
     usable = []
     excluded = []
@@ -235,8 +272,13 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
         usable.append((inv_v, mean_df2, stderr_df2))
     distinct = len({inv_v for inv_v, _, _ in usable})
     if distinct < MIN_FIT_POINTS:
+        # relative-stderr exclusions are one reason, whatever their value
+        reasons = Counter(f"relative stderr > {REL_STDERR_MAX:.0%}"
+                          if r.startswith("relative stderr") else r for _, r in excluded)
+        counts = ", ".join(f"{n} {r}" for r, n in reasons.most_common()) or "none"
         raise InsufficientPoints(f"{len(usable)} usable points at {distinct} distinct 1/v "
-                                 f"values after exclusion; need >= {MIN_FIT_POINTS}")
+                                 f"values after exclusion ({counts}); "
+                                 f"need >= {MIN_FIT_POINTS}")
     inv_v, mean_df2, stderr_df2 = np.array(usable).T
     lx, ly = np.log10([inv_v, np.sqrt(mean_df2)])
     sigma_log = stderr_df2 / (2.0 * mean_df2 * math.log(10.0))
@@ -282,6 +324,31 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
             yield block.transpose(1, 0, 2)
 
 
+def noise_statistics(sampler: NoiseSampler, realizations: int) -> dict:
+    """The largest deviations, in standard errors, of the sample mean and
+    covariance of `realizations` draws of `sampler` from the model's.
+
+    The deviations from the mean eta0, whose covariance is the target, are
+    summed over the blocks of `_draws` (chunk c from stream (c,)); both are
+    scaled by the power of two 2^-e near 1/g0, exactly, so that squaring the
+    covariance can neither overflow nor underflow.
+    """
+    if realizations < 2:
+        raise ValueError("need at least 2 realizations")
+    model, n, m = sampler.model, sampler.grid.n_steps, realizations
+    e = math.frexp(model.g0)[1]
+    sums, products = np.zeros(n), np.zeros((n, n))
+    for block in _draws(sampler, m, DEFAULT_CHUNK, 1, ()):
+        block = np.ldexp(block.reshape(n, -1) - model.eta0, -e)
+        sums += block.sum(axis=1)
+        products += block @ block.T
+    target = np.ldexp(sampler.covariance, -2 * e)
+    se_cov = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / m)
+    return {"max_cov_sigma": float(np.abs((products / m - target) / se_cov).max()),
+            "max_mean_sigma": float(np.abs(sums / m / np.sqrt(np.diag(target) / m)).max()),
+            "realizations": m, "steps": n}
+
+
 def _run_cell(pulse: PiecewiseConstantPulse, sampler: NoiseSampler, cell_index: int,
               realizations: int, chunk_size: int = DEFAULT_CHUNK, workers: int = 1
               ) -> dict[str, MonteCarloEstimate]:
@@ -296,26 +363,30 @@ def _run_cell(pulse: PiecewiseConstantPulse, sampler: NoiseSampler, cell_index: 
             for k in _CELL_KEYS}
 
 
-def _sweep(config: ScalingExperimentConfig, catalog: PulseCatalog) -> Iterator[tuple]:
-    """(pulse, 1/v, scaled pulse, estimates) per cell, pulses outermost; cell k
-    builds its own grid and sampler and draws chunk c from stream (k, c)."""
+def _sweep(config: ScalingExperimentConfig, catalog: PulseCatalog
+           ) -> Iterator[tuple[PiecewiseConstantPulse, CellStats]]:
+    """(scaled pulse, cell record) per cell, pulses outermost; cell k builds
+    its own grid and sampler and draws chunk c from stream (k, c)."""
     cells = [(name, inv_v) for name in config.pulses for inv_v in config.inv_v_grid]
     for k, (name, inv_v) in enumerate(cells):
         scaled = catalog[name].for_inverse_amplitude(inv_v)
         grid = build_time_grid(scaled, config.steps_per_pulse)
         sampler = build_sampler(config.model, grid, config.seed)
-        yield name, inv_v, scaled, _run_cell(scaled, sampler, k, config.realizations,
-                                             config.chunk_size, config.workers)
+        est = _run_cell(scaled, sampler, k, config.realizations, config.chunk_size,
+                        config.workers)
+        yield scaled, CellStats(name, inv_v, est["df2"], (
+            est["partial_x"], est["partial_y"], est["partial_z"]))
 
 
 def run_scaling(config: ScalingExperimentConfig,
                 catalog: Optional[PulseCatalog] = None) -> ScalingResult:
     """Sweep 1/v for every configured pulse and fit the scaling exponents.
 
-    A pulse is fitted once its last cell is in, from mean DF^2 and its
-    standard error over the fit window with the standard exclusion rule.  A
-    1/v grid with fewer than `MIN_FIT_POINTS` values in the fit window is
-    refused (ValueError) before any cell is drawn.
+    Each pulse is fitted after the sweep, from mean DF^2 and its standard
+    error over the fit window with the standard exclusion rule; a failed fit
+    raises InsufficientPoints naming the pulse.  A 1/v grid with fewer than
+    `MIN_FIT_POINTS` values in the fit window is refused (ValueError) before
+    any cell is drawn.
     """
     inside = sum(_in_window(inv_v, config.window) for inv_v in config.inv_v_grid)
     if inside < MIN_FIT_POINTS:
@@ -323,14 +394,14 @@ def run_scaling(config: ScalingExperimentConfig,
         raise ValueError(f"{inside} of the 1/v values lie in the fit window "
                          f"[{lo!r}, {hi!r}]; a fit needs >= {MIN_FIT_POINTS}")
     catalog = catalog or load_catalog()
-    result = ScalingResult(config)
-    for name, inv_v, _, est in _sweep(config, catalog):
-        result.cells.append(CellStats(name, inv_v, est["df2"], (
-            est["partial_x"], est["partial_y"], est["partial_z"])))
-        if inv_v == config.inv_v_grid[-1]:
-            pts = [(c.inv_v, c.estimate.mean_df2, c.estimate.stderr_df2)
-                   for c in result.cells_for(name)]
+    result = ScalingResult(config, [cell for _, cell in _sweep(config, catalog)])
+    for name in config.pulses:
+        pts = [(c.inv_v, c.estimate.mean_df2, c.estimate.stderr_df2)
+               for c in result.cells_for(name)]
+        try:
             result.fits[name] = fit_exponent(pts, config.window)
+        except InsufficientPoints as exc:
+            raise InsufficientPoints(f"{name}: {exc}") from None
     return result
 
 
@@ -371,6 +442,6 @@ def run_prefactor_check(pulse_name: str, model: AutocorrelationModel,
     if model.cusp_coefficient == 0.0:
         raise ValueError("prefactor check requires a cusp: the exponential model "
                          "with gamma > 0")
-    return [PrefactorRow(inv_v, est["df2"].mean_df2, est["df2"].stderr_df2,
+    return [PrefactorRow(cell.inv_v, cell.estimate.mean_df2, cell.estimate.stderr_df2,
                          4.0 / 3.0 * evaluate_i32(scaled, model))
-            for _, inv_v, scaled, est in _sweep(config, catalog)]
+            for scaled, cell in _sweep(config, catalog)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -313,8 +314,10 @@ def load_catalog(path=None) -> PulseCatalog:
 
 
 def save_catalog(pulses, path) -> None:
-    """Write pulses (iterable or catalog) to a catalog JSON file."""
+    """Write pulses (iterable or catalog) to a catalog JSON file, creating its
+    directory."""
     records = [_pulse_to_record(p) for p in pulses]
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=2)
         fh.write("\n")

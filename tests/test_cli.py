@@ -107,6 +107,9 @@ class TestScaling:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: numerical: ")
+        # the line names the pulse and counts the exclusions by reason
+        assert err[0].startswith("error: numerical: RECT: 0 usable points")
+        assert "(6 zero standard error, 2 outside fit window)" in err[0]
 
     def test_overflowing_cells_are_numerical_error(self, tmp_path, capsys):
         # eta0 = 1e308 overflows h dt in the exact step, so every cell's mean
@@ -118,6 +121,18 @@ class TestScaling:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: numerical: ")
+        assert err[0] == ("error: numerical: RECT: 0 usable points at 0 distinct 1/v "
+                          "values after exclusion (3 non-finite mean); need >= 3")
+
+    def test_stderr_exclusions_count_as_one_reason(self, tmp_path, capsys):
+        # two realizations per cell: every relative stderr is above the bound
+        code = run(["scaling", "--model", "exponential", "--gamma", "0.01",
+                    "--pulses", "rect,corpse", "--inv-v", "1e-3,3e-3,1e-2",
+                    "--realizations", "2", "--steps", "16", "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: numerical: RECT: 0 usable points at 0 distinct 1/v values after "
+            "exclusion (3 relative stderr > 5%); need >= 3"]
 
     def test_unknown_pulse_is_config_error(self, tmp_path):
         code = run(["scaling", "--model", "gaussian", "--gamma", "0.1",
@@ -514,6 +529,15 @@ class TestOutDirectory:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: ")
         assert blocker.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_empty_out_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        # an empty --out names no directory; it would end in a traceback
+        monkeypatch.chdir(tmp_path)
+        assert run(OUT_COMMANDS[command] + ["--out", ""]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config: --out must not be empty"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_input_creates_no_out_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -23,6 +23,7 @@ shows each default.  Exit codes: 0 success, 1 usage, 2 configuration,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -38,6 +39,10 @@ from .pulses import load_catalog, require_valid, save_catalog, validate_catalog
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+#: the design search's defaults, which `--help` shows: read at import, so the
+#: help text does not depend on what `magnus.minimize_i32` is bound to later
+_SEARCH = inspect.signature(magnus.minimize_i32).parameters
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +77,14 @@ def _build_parser() -> tuple[_Parser, dict]:
         for flag in flags.split():
             p.add_argument(flag, **shared[flag])
 
+    # the defaults the library owns, as --help shows them
+    sweep = harness.ScalingExperimentConfig
+    steps_help = f"time steps per pulse (default: {sweep.steps_per_pulse})"
+
+    def window_end(end):
+        return ", ".join(f"{kind} {window[end]}"
+                         for kind, window in harness.DEFAULT_FIT_WINDOWS.items())
+
     p = sub.add_parser("scaling", help="amplitude sweep and exponent fits")
     add_shared(p, "--out --seed --catalog --model --gamma --g0 --eta0")
     p.add_argument("--pulses", default="rect,corpse,scorpse",
@@ -84,12 +97,15 @@ def _build_parser() -> tuple[_Parser, dict]:
                    help="largest 1/v of the range (default: %(default)s)")
     p.add_argument("--points", type=int, default=8,
                    help="log-spaced 1/v count (default: %(default)s)")
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--steps", type=int, help="time steps per pulse (default: "
-                   f"{harness.ScalingExperimentConfig.steps_per_pulse})")
-    p.add_argument("--fit-min", dest="fit_min", type=float)
-    p.add_argument("--fit-max", dest="fit_max", type=float)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--realizations", type=int,
+                   help=f"realizations per 1/v (default: {sweep.realizations})")
+    p.add_argument("--steps", type=int, help=steps_help)
+    p.add_argument("--fit-min", dest="fit_min", type=float,
+                   help=f"lower end of the fit window (default: {window_end(0)})")
+    p.add_argument("--fit-max", dest="fit_max", type=float,
+                   help=f"upper end of the fit window (default: {window_end(1)})")
+    p.add_argument("--workers", type=int,
+                   help=f"threads drawing a cell's chunks (default: {sweep.workers})")
 
     p = sub.add_parser("prefactor", help="cubic-law prefactor comparison")
     add_shared(p, "--out --seed --catalog --model --gamma --g0 --eta0")
@@ -99,7 +115,7 @@ def _build_parser() -> tuple[_Parser, dict]:
                    help="comma-separated 1/v values (default: %(default)s)")
     p.add_argument("--realizations", type=int, default=50000,
                    help="realizations per 1/v (default: %(default)s)")
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=int, help=steps_help)
 
     p = sub.add_parser("nogo", help="kernel-operator positivity report")
     add_shared(p, "--out --catalog --model --gamma --g0")
@@ -111,9 +127,12 @@ def _build_parser() -> tuple[_Parser, dict]:
     p = sub.add_parser("design", help="minimize the anomalous integral")
     add_shared(p, "--out --seed --model --gamma --g0")
     p.add_argument("--segments", type=int, default=3, help="segment count (default: %(default)s)")
-    p.add_argument("--restarts", type=int, help="random starts per segment count")
-    p.add_argument("--budget", type=int, help="SLSQP iterations per start")
-    p.add_argument("--vmax", type=float, help="amplitude bound in 1/tau_p units")
+    p.add_argument("--restarts", type=int, help="random starts per segment count "
+                   f"(default: {_SEARCH['restarts'].default})")
+    p.add_argument("--budget", type=int, help="SLSQP iterations per start "
+                   f"(default: {_SEARCH['budget'].default})")
+    p.add_argument("--vmax", type=float, help="amplitude bound in 1/tau_p units "
+                   f"(default: {magnus.DEFAULT_V_MAX_TAUP})")
 
     p = sub.add_parser("noise-validate", help="sample-covariance statistics")
     add_shared(p, "--out --seed --model --gamma --g0 --eta0")
@@ -230,18 +249,22 @@ def _load_catalog(args: argparse.Namespace):
         raise ValueError(f"cannot load catalog: {exc}")
 
 
+def _sweep_config(args: argparse.Namespace, catalog, names: list[str],
+                  inv_v_grid: tuple[float, ...], **fields
+                  ) -> harness.ScalingExperimentConfig:
+    """The sweep config of `scaling` and `prefactor`; an option the
+    subcommand lacks or leaves unset takes the config's default."""
+    return harness.ScalingExperimentConfig(
+        pulses=tuple(_known_pulse(catalog, name) for name in names),
+        model=_model_from(args), inv_v_grid=inv_v_grid, seed=args.seed, **fields,
+        **_given(args, realizations="realizations", steps_per_pulse="steps",
+                 workers="workers"))
+
+
 def _cmd_scaling(args: argparse.Namespace) -> int:
     catalog = require_valid(_load_catalog(args))
-    names = [_known_pulse(catalog, tok) for tok in _tokens(args.pulses)]
-    config = harness.ScalingExperimentConfig(
-        pulses=tuple(names),
-        model=_model_from(args),
-        inv_v_grid=_inv_v_grid(args),
-        seed=args.seed,
-        fit_window=(args.fit_min, args.fit_max),
-        **_given(args, realizations="realizations", steps_per_pulse="steps",
-                 workers="workers"),
-    )
+    config = _sweep_config(args, catalog, _tokens(args.pulses), _inv_v_grid(args),
+                           fit_window=(args.fit_min, args.fit_max))
     result = harness.run_scaling(config, catalog)
     result.write(args.out)
     for name, fit in result.fits.items():
@@ -253,15 +276,11 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_prefactor(args: argparse.Namespace) -> int:
     catalog = require_valid(_load_catalog(args))
-    name = _known_pulse(catalog, args.pulse)
-    rows = harness.run_prefactor_check(
-        name, _model_from(args), _inv_v_values(args.inv_v),
-        realizations=args.realizations, seed=args.seed, catalog=catalog,
-        **_given(args, steps_per_pulse="steps"),
-    )
+    config = _sweep_config(args, catalog, [args.pulse], _inv_v_values(args.inv_v))
+    rows = harness.run_prefactor_check(config, catalog)
     for r in rows:
-        print(f"1/v={r.inv_v:9.3e}: ratio {r.ratio:.4f} +- {r.ratio_err:.4f}")
-    _write(args, f"prefactor_{name.lower()}.csv", harness.prefactor_csv(rows))
+        print(f"1/v={r.cell.inv_v:9.3e}: ratio {r.ratio:.4f} +- {r.ratio_err:.4f}")
+    _write(args, f"prefactor_{args.pulse.lower()}.csv", harness.prefactor_csv(rows))
     return 0
 
 

@@ -23,10 +23,11 @@ buffer.  `noise_statistics`, behind `noise-validate`, sums the same blocks.
 
 One sweep, `_sweep`, walks the cells of a `ScalingExperimentConfig` and
 yields each as the one cell record, `CellStats`: `run_scaling` fits each
-pulse from its cells once the sweep is done, and `run_prefactor_check`
-compares a one-pulse sweep with the cubic law.  One cell runner, `_run_cell`,
-evolves every cell of the sweep.  Every fit, `.dat` file and cell reads mean
-DF^2, the quantity the analytic scaling laws predict.
+pulse from its cells once the sweep is done, and `run_prefactor_check`, given
+the same config, pairs each cell with the cubic law's prediction in a
+`PrefactorRow`.  One cell runner, `_run_cell`, evolves every cell of the
+sweep.  Every fit, `.dat` file and cell reads mean DF^2, the quantity the
+analytic scaling laws predict.
 
 Every run file but the catalog that `design` writes (`pulses.save_catalog`)
 is formatted here: one table formatter, `_table_text`, for `scaling.csv`, the
@@ -51,7 +52,7 @@ from .errors import InsufficientPoints
 from .magnus import NoGoReport, evaluate_i32
 from .metrics import MonteCarloEstimate, accumulate_values, ensemble_frobenius
 from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN, NoiseSampler,
-                    build_sampler)
+                    _require_dense, build_sampler)
 from .propagator import evolve_ensemble
 from .pulses import (PiecewiseConstantPulse, PulseCatalog, _require_first_order,
                      build_time_grid, load_catalog)
@@ -99,6 +100,7 @@ class ScalingExperimentConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        _require_dense(self.steps_per_pulse)
         lo, hi = self.window
         if not 0 < lo < hi:
             raise ValueError("fit_window must satisfy 0 < lo < hi")
@@ -213,7 +215,8 @@ def write_files(outdir: str, files: dict[str, str]) -> list[str]:
 
 def prefactor_csv(rows: Sequence[PrefactorRow]) -> str:
     return _table_text("inv_v,measured_df2,stderr_df2,predicted_df2,ratio,ratio_err", [
-        (r.inv_v, r.measured_df2, r.stderr_df2, r.predicted_df2, r.ratio, r.ratio_err)
+        (r.cell.inv_v, r.cell.estimate.mean_df2, r.cell.estimate.stderr_df2,
+         r.predicted_df2, r.ratio, r.ratio_err)
         for r in rows])
 
 
@@ -350,7 +353,7 @@ def noise_statistics(sampler: NoiseSampler, realizations: int) -> dict:
 
 
 def _run_cell(pulse: PiecewiseConstantPulse, sampler: NoiseSampler, cell_index: int,
-              realizations: int, chunk_size: int = DEFAULT_CHUNK, workers: int = 1
+              realizations: int, chunk_size: int, workers: int
               ) -> dict[str, MonteCarloEstimate]:
     """Evolve, reduce and accumulate the realizations of one cell.
 
@@ -363,10 +366,9 @@ def _run_cell(pulse: PiecewiseConstantPulse, sampler: NoiseSampler, cell_index: 
             for k in _CELL_KEYS}
 
 
-def _sweep(config: ScalingExperimentConfig, catalog: PulseCatalog
-           ) -> Iterator[tuple[PiecewiseConstantPulse, CellStats]]:
-    """(scaled pulse, cell record) per cell, pulses outermost; cell k builds
-    its own grid and sampler and draws chunk c from stream (k, c)."""
+def _sweep(config: ScalingExperimentConfig, catalog: PulseCatalog) -> Iterator[CellStats]:
+    """One cell record per cell, pulses outermost; cell k builds its own grid
+    and sampler and draws chunk c from stream (k, c)."""
     cells = [(name, inv_v) for name in config.pulses for inv_v in config.inv_v_grid]
     for k, (name, inv_v) in enumerate(cells):
         scaled = catalog[name].for_inverse_amplitude(inv_v)
@@ -374,7 +376,7 @@ def _sweep(config: ScalingExperimentConfig, catalog: PulseCatalog
         sampler = build_sampler(config.model, grid, config.seed)
         est = _run_cell(scaled, sampler, k, config.realizations, config.chunk_size,
                         config.workers)
-        yield scaled, CellStats(name, inv_v, est["df2"], (
+        yield CellStats(name, inv_v, est["df2"], (
             est["partial_x"], est["partial_y"], est["partial_z"]))
 
 
@@ -394,7 +396,7 @@ def run_scaling(config: ScalingExperimentConfig,
         raise ValueError(f"{inside} of the 1/v values lie in the fit window "
                          f"[{lo!r}, {hi!r}]; a fit needs >= {MIN_FIT_POINTS}")
     catalog = catalog or load_catalog()
-    result = ScalingResult(config, [cell for _, cell in _sweep(config, catalog)])
+    result = ScalingResult(config, list(_sweep(config, catalog)))
     for name in config.pulses:
         pts = [(c.inv_v, c.estimate.mean_df2, c.estimate.stderr_df2)
                for c in result.cells_for(name)]
@@ -410,38 +412,36 @@ def run_scaling(config: ScalingExperimentConfig,
 
 @dataclass(frozen=True)
 class PrefactorRow:
-    inv_v: float
-    measured_df2: float
-    stderr_df2: float
+    """One sweep cell and the leading cubic law's mean DF^2 at its 1/v."""
+
+    cell: CellStats
     predicted_df2: float
 
     @property
     def ratio(self) -> float:
-        return self.measured_df2 / self.predicted_df2
+        return self.cell.estimate.mean_df2 / self.predicted_df2
 
     @property
     def ratio_err(self) -> float:
-        return self.stderr_df2 / self.predicted_df2
+        return self.cell.estimate.stderr_df2 / self.predicted_df2
 
 
-def run_prefactor_check(pulse_name: str, model: AutocorrelationModel,
-                        inv_v_list: Sequence[float], realizations: int,
-                        steps_per_pulse: int = 512, seed: int = 0,
+def run_prefactor_check(config: ScalingExperimentConfig,
                         catalog: Optional[PulseCatalog] = None) -> list[PrefactorRow]:
-    """Measured mean DF^2 against the leading cubic law of a first-order pulse.
+    """The cells of `config`'s sweep against the leading cubic law.
 
-    The cells are those of a one-pulse `run_scaling` sweep.  With S = C = 0
-    the leading term of mean DF^2 under exponential noise is
-    (4/3) I_3/2 = (4/3) a K tau_p^3, from the closed-form shape kernel K.
+    Every pulse must be first order (NotFirstOrder) and the model must have a
+    cusp (ValueError); both are checked before any cell is drawn.  With
+    S = C = 0 the leading term of mean DF^2 under exponential noise is
+    (4/3) I_3/2 = (4/3) a K tau_p^3, from the closed-form shape kernel K of
+    the pulse scaled to the cell's 1/v.
     """
-    config = ScalingExperimentConfig(pulses=(pulse_name,), model=model,
-                                     inv_v_grid=inv_v_list, realizations=realizations,
-                                     steps_per_pulse=steps_per_pulse, seed=seed)
     catalog = catalog or load_catalog()
-    _require_first_order(catalog[pulse_name])
-    if model.cusp_coefficient == 0.0:
+    for name in config.pulses:
+        _require_first_order(catalog[name])
+    if config.model.cusp_coefficient == 0.0:
         raise ValueError("prefactor check requires a cusp: the exponential model "
                          "with gamma > 0")
-    return [PrefactorRow(cell.inv_v, cell.estimate.mean_df2, cell.estimate.stderr_df2,
-                         4.0 / 3.0 * evaluate_i32(scaled, model))
-            for scaled, cell in _sweep(config, catalog)]
+    return [PrefactorRow(cell, 4.0 / 3.0 * evaluate_i32(
+                catalog[cell.pulse].for_inverse_amplitude(cell.inv_v), config.model))
+            for cell in _sweep(config, catalog)]

@@ -40,6 +40,13 @@ EPS_CLIP = 1e-10
 MAX_DENSE_N = 8192
 
 
+def _require_dense(n_steps: int) -> None:
+    """Refuse a grid of more than MAX_DENSE_N steps, before it is built."""
+    if n_steps > MAX_DENSE_N:
+        raise ValueError(f"{n_steps} steps exceed the dense covariance limit "
+                         f"of {MAX_DENSE_N}")
+
+
 @dataclass(frozen=True)
 class AutocorrelationModel:
     """Two-point function of the dephasing field.
@@ -137,6 +144,7 @@ class TimeGrid:
     def uniform(cls, tau_p: float, n_steps: int) -> "TimeGrid":
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        _require_dense(n_steps)
         if not 0.0 < tau_p < np.inf:
             raise ValueError(f"grid span must be positive and finite, got {tau_p!r}")
         return cls(np.linspace(0.0, tau_p, n_steps + 1))
@@ -174,9 +182,7 @@ class NoiseSampler:
     """
 
     def __init__(self, model: AutocorrelationModel, grid: TimeGrid, seed: int):
-        if grid.n_steps > MAX_DENSE_N:
-            raise ValueError(f"{grid.n_steps} steps exceed the dense covariance limit "
-                             f"of {MAX_DENSE_N}")
+        _require_dense(grid.n_steps)
         self.model = model
         self.grid = grid
         self.seed = int(seed)

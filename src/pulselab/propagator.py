@@ -26,9 +26,11 @@ wherever p <= P_SERIES_MAX = 0.01 (phi <= 0.1).  The first dropped terms,
 p^5/10! <= 2.8e-17 and dt p^5/11! <= 2.6e-18 dt, lie below half an ulp of
 the values, so the series is as exact as the trigonometry.  Benchmark and
 acceptance grids stay far inside the bound (phi < 0.06).  A realization whose
-step phase exceeds the bound (or whose huge eta overflows p to inf) takes
-hypot, cos and sin instead, evaluated for those realizations alone; there
-phi > 0.1, so sin(phi)/h needs no guard at h = 0.  The choice is made per
+step phase exceeds the bound takes hypot, cos and sin instead, evaluated for
+those realizations alone; there phi > 0.1, so sin(phi)/h needs no guard at
+h = 0.  So does one whose p is not finite: a huge eta overflows p to inf,
+and a huge drive v on a tiny step dt makes p = inf * 0 = nan, although the
+step phase v dt itself is moderate.  The choice is made per
 realization, so a realization's result does not depend on the others in its
 block.
 """
@@ -85,17 +87,18 @@ def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
     z = np.zeros(batch)
     for eta, v, dt in zip(eta_block, pulse.amplitudes_on(grid.midpoints).tolist(),
                           grid.widths.tolist()):
-        # a huge eta overflows p and the series to inf; the exact route takes
-        # it, where h dt may overflow too and its cos and sin become nan, a
-        # cell that the fit excludes
+        # a huge eta overflows p and the series to inf, and a huge v on a
+        # tiny dt makes p = inf * 0 = nan, which fails every comparison; the
+        # exact route takes both, where h dt may overflow too and its cos and
+        # sin become nan, a cell that the fit excludes
         with np.errstate(over="ignore", invalid="ignore"):
             p = eta * eta
             p += v * v
             p *= dt * dt             # the squared step phase (h dt)^2
             c = _series(p, _COS_SERIES)
             s_over_h = dt * _series(p, _SINC_SERIES)
-            if p.max() > P_SERIES_MAX:
-                big = p > P_SERIES_MAX
+            if not p.max() <= P_SERIES_MAX:
+                big = ~(p <= P_SERIES_MAX)
                 h = np.hypot(eta[big], v)
                 c[big] = np.cos(h * dt)
                 s_over_h[big] = np.sin(h * dt) / h

@@ -154,12 +154,12 @@ def test_criterion2_exponential_exponent_scorpse(exponential_run):
 @pytest.mark.parametrize("gamma", [0.01, 0.1])
 def test_criterion3_prefactor_corpse(gamma):
     model = AutocorrelationModel("exponential", g0=1.0, gamma=gamma)
-    rows = run_prefactor_check("CORPSE", model, [3e-3, 1e-2],
-                               realizations=50000, steps_per_pulse=STEPS,
-                               seed=SEED)
-    ok = all(abs(r.measured_df2 - r.predicted_df2) <= 3 * r.stderr_df2
-             for r in rows)
-    detail = ", ".join(f"1/v={r.inv_v:.0e}: ratio {r.ratio:.4f}" for r in rows)
+    rows = run_prefactor_check(ScalingExperimentConfig(
+        pulses=("CORPSE",), model=model, inv_v_grid=(3e-3, 1e-2), realizations=50000,
+        steps_per_pulse=STEPS, seed=SEED))
+    ok = all(abs(r.cell.estimate.mean_df2 - r.predicted_df2)
+             <= 3 * r.cell.estimate.stderr_df2 for r in rows)
+    detail = ", ".join(f"1/v={r.cell.inv_v:.0e}: ratio {r.ratio:.4f}" for r in rows)
     record(f"criterion 3 (CORPSE, gamma={gamma})", ok, detail)
     assert ok
 
@@ -173,12 +173,12 @@ def test_criterion3_prefactor_scorpse(gamma):
     errors at 50,000 realizations.  CORPSE, with |D| = 0.0017, sits within
     1.3 sigma everywhere."""
     model = AutocorrelationModel("exponential", g0=1.0, gamma=gamma)
-    rows = run_prefactor_check("SCORPSE", model, [3e-3, 1e-2],
-                               realizations=50000, steps_per_pulse=STEPS,
-                               seed=SEED)
-    ok = all(abs(r.measured_df2 - r.predicted_df2) <= 3 * r.stderr_df2
-             for r in rows)
-    detail = ", ".join(f"1/v={r.inv_v:.0e}: ratio {r.ratio:.4f}" for r in rows)
+    rows = run_prefactor_check(ScalingExperimentConfig(
+        pulses=("SCORPSE",), model=model, inv_v_grid=(3e-3, 1e-2), realizations=50000,
+        steps_per_pulse=STEPS, seed=SEED))
+    ok = all(abs(r.cell.estimate.mean_df2 - r.predicted_df2)
+             <= 3 * r.cell.estimate.stderr_df2 for r in rows)
+    detail = ", ".join(f"1/v={r.cell.inv_v:.0e}: ratio {r.ratio:.4f}" for r in rows)
     record(f"criterion 3 (SCORPSE, gamma={gamma})", ok,
            detail + " (known higher-order contamination)")
     assert ok

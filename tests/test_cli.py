@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -35,6 +36,31 @@ def _written(arg, tmp_path):
     return arg
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a ``python -m pulselab`` child: the sources of the
+    package under test lead PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pulselab.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+#: enough address space to import the package and reach a large allocation
+MEMORY_CAP = 2**30
+
+
+def run_capped(args, cwd) -> tuple[int, str]:
+    """Exit code and stderr of ``python -m pulselab *args`` in a child on one
+    BLAS thread whose address space is capped at MEMORY_CAP, so an input that
+    reaches a huge allocation fails there and not in the test process."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+    proc = subprocess.run([sys.executable, "-m", "pulselab", *args], cwd=cwd,
+                          env=_child_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=cap,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
 class TestCatalogValidate:
     def test_shipped_catalog_ok(self, capsys):
         assert run(["catalog-validate"]) == 0
@@ -42,9 +68,7 @@ class TestCatalogValidate:
 
     def test_runs_as_python_dash_m(self, tmp_path):
         # `python -m pulselab` from any directory, with the sources on the path
-        src = os.path.dirname(os.path.dirname(os.path.abspath(pulselab.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env()
         proc = subprocess.run([sys.executable, "-m", "pulselab", "catalog-validate"],
                               cwd=tmp_path, env=env, capture_output=True, text=True,
                               timeout=120)
@@ -494,6 +518,19 @@ class TestOtherSubcommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: ")
 
+    @pytest.mark.parametrize("args", [
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect"],
+        ["prefactor", "--model", "exponential", "--gamma", "0.01"],
+        ["noise-validate", "--model", "gaussian", "--gamma", "0.5"],
+    ], ids=["scaling", "prefactor", "noise-validate"])
+    def test_huge_grid_is_refused_before_it_is_allocated(self, tmp_path, args):
+        # a billion steps: the grid's boundaries alone take 7.45 GiB; never run
+        # this in the test process or without the cap
+        code, err = run_capped(args + ["--steps", "1000000000", "--out", "out"], tmp_path)
+        assert code == 2, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config: "), err
+
     def test_usage_error_exit_code(self):
         assert run(["frobnicate"]) == 1
         assert run([]) == 1
@@ -612,9 +649,7 @@ class TestOneTypingPath:
         shipped = os.path.join(os.path.dirname(os.path.abspath(pulselab.__file__)), "data",
                                "catalog.json")
         (tmp_path / "run.json").write_text(json.dumps({"catalog": 5}))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(pulselab.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env()
         proc = subprocess.run(
             ["sh", "-c", 'exec "$0" -m pulselab --config run.json catalog-validate 5< "$1"',
              sys.executable, shipped], cwd=tmp_path, env=env, capture_output=True, text=True,
@@ -658,10 +693,11 @@ class TestOneTypingPath:
 # Every default the CLI owns, as its subcommand's --help shows it.
 HELP_DEFAULTS = {
     None: [],
-    "scaling": ["results", "rect,corpse,scorpse", "0.001", "0.1", "8"],
-    "prefactor": ["results", "corpse", "3e-3,1e-2", "50000"],
+    "scaling": ["results", "rect,corpse,scorpse", "0.001", "0.1", "8", "20000",
+                "gaussian 0.001, exponential 0.001", "gaussian 0.1, exponential 0.03", "1"],
+    "prefactor": ["results", "corpse", "3e-3,1e-2", "50000", "512"],
     "nogo": ["results", "scorpse", "1024"],
-    "design": ["results", "3"],
+    "design": ["results", "3", "10", "15000", "12.566370614359172"],
     "noise-validate": ["results", "16", "1.0", "200000"],
     "catalog-validate": [],
 }

@@ -169,14 +169,14 @@ class TestRunScaling:
         block_bytes = 8 * grid.n_steps * chunk
         tracemalloc.start()
         try:
-            est = harness._run_cell(pulse, sampler, 0, 2 * chunk + 5, chunk, workers=8)
+            est = harness._run_cell(pulse, sampler, 0, 2 * chunk + 5, chunk, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert pools == [2]
         assert 2 * block_bytes <= peak < 3 * block_bytes
         assert est["df2"] == harness._run_cell(pulse, sampler, 0, 2 * chunk + 5,
-                                               chunk)["df2"]
+                                               chunk, 1)["df2"]
 
     def test_fit_records_excluded_points(self):
         res = run_scaling(small_config(inv_v_grid=(1e-3, 3e-3, 1e-2, 3e-2, 0.1)))
@@ -232,6 +232,9 @@ class TestRunScaling:
             small_config(fit_window=(3e-2, 1e-3))
         with pytest.raises(ValueError):
             small_config(workers=0)
+        # refused before any grid is built
+        with pytest.raises(ValueError, match="8193 steps exceed"):
+            small_config(steps_per_pulse=8193)
 
     def test_fit_window_end_left_none_takes_the_default(self):
         assert small_config(fit_window=(2e-3, None)).window == (2e-3, 3e-2)
@@ -248,44 +251,48 @@ class TestRunScaling:
             small_config(pulses=pulses)
 
 
+def prefactor_config(pulses, inv_vs, realizations, model=EXP, **kw):
+    return ScalingExperimentConfig(pulses=tuple(pulses), model=model, inv_v_grid=inv_vs,
+                                   realizations=realizations, **kw)
+
+
 class TestPrefactorCheck:
     def test_corpse_ratio_near_unity(self):
-        rows = run_prefactor_check("CORPSE", EXP, [3e-3, 1e-2],
-                                   realizations=8000, steps_per_pulse=256, seed=7)
+        rows = run_prefactor_check(prefactor_config(
+            ["CORPSE"], [3e-3, 1e-2], 8000, steps_per_pulse=256, seed=7))
         for row in rows:
-            assert abs(row.measured_df2 - row.predicted_df2) < 4 * row.stderr_df2
-            pred = 4.0 * math.pi * EXP.g0**2 * EXP.gamma * row.inv_v**3
+            est = row.cell.estimate
+            assert abs(est.mean_df2 - row.predicted_df2) < 4 * est.stderr_df2
+            pred = 4.0 * math.pi * EXP.g0**2 * EXP.gamma * row.cell.inv_v**3
             np.testing.assert_allclose(row.predicted_df2, pred, rtol=1e-12)
 
     def test_prediction_is_four_thirds_of_i32(self, catalog):
         # any first-order shape: the prediction comes from its kernel K
         inv_vs = (3e-3, 1e-2)
-        rows = run_prefactor_check("SYM2ND", EXP, inv_vs, realizations=200,
-                                   steps_per_pulse=64, seed=5)
+        rows = run_prefactor_check(prefactor_config(
+            ["SYM2ND"], inv_vs, 200, steps_per_pulse=64, seed=5))
         base = catalog["SYM2ND"]
         assert [r.predicted_df2 for r in rows] == [
             4.0 / 3.0 * evaluate_i32(base.for_inverse_amplitude(v), EXP) for v in inv_vs]
 
     def test_matches_scaling_cells(self):
-        # one cell runner and one stream layout: cell k of a one-pulse sweep
-        # is the prefactor check's k-th 1/v, bit for bit
-        inv_vs = (3e-3, 1e-2, 3e-2)
-        rows = run_prefactor_check("CORPSE", EXP, inv_vs, realizations=5000,
-                                   steps_per_pulse=64, seed=11)
-        res = run_scaling(ScalingExperimentConfig(
-            pulses=("CORPSE",), model=EXP, inv_v_grid=inv_vs, realizations=5000,
-            steps_per_pulse=64, seed=11, chunk_size=4096))
-        assert [(r.inv_v, r.measured_df2, r.stderr_df2) for r in rows] == [
-            (c.inv_v, c.estimate.mean_df2, c.estimate.stderr_df2) for c in res.cells]
+        # one sweep: the prefactor check's rows hold the scaling run's cells of
+        # the same config, bit for bit, with every pulse's cells
+        config = prefactor_config(["CORPSE", "SYM2ND"], (3e-3, 1e-2, 3e-2), 5000,
+                                  steps_per_pulse=64, seed=11)
+        rows = run_prefactor_check(config)
+        assert [r.cell for r in rows] == run_scaling(config).cells
+        assert [r.cell.pulse for r in rows] == ["CORPSE"] * 3 + ["SYM2ND"] * 3
 
     def test_rejects_unsupported_inputs(self):
         with pytest.raises(ValueError):
-            run_prefactor_check("RECT", EXP, [1e-2], 100)
+            run_prefactor_check(prefactor_config(["RECT"], [1e-2], 100))
         with pytest.raises(ValueError):
-            run_prefactor_check("CORPSE", GAUSS, [1e-2], 100)
+            run_prefactor_check(prefactor_config(["CORPSE"], [1e-2], 100, model=GAUSS))
         # gamma = 0 predicts a zero cubic law: every ratio would divide by 0
         with pytest.raises(ValueError):
-            run_prefactor_check("CORPSE", AutocorrelationModel("exponential"), [1e-2], 100)
+            run_prefactor_check(prefactor_config(
+                ["CORPSE"], [1e-2], 100, model=AutocorrelationModel("exponential")))
 
     @pytest.mark.parametrize("inv_vs, realizations", [
         ([1e-2, 1e-2], 100),        # one 1/v twice
@@ -296,13 +303,18 @@ class TestPrefactorCheck:
         # the sweep's config refuses these before any cell is drawn
         monkeypatch.setattr("pulselab.harness._run_cell", None)
         with pytest.raises(ValueError):
-            run_prefactor_check("CORPSE", EXP, inv_vs, realizations)
+            run_prefactor_check(prefactor_config(["CORPSE"], inv_vs, realizations))
+
+    def test_every_pulse_must_be_first_order_before_any_cell(self, monkeypatch):
+        # RECT after two first-order pulses: refused before the first cell
+        monkeypatch.setattr("pulselab.harness._run_cell", None)
+        with pytest.raises(NotFirstOrder, match="RECT"):
+            run_prefactor_check(prefactor_config(["CORPSE", "SYM2ND", "RECT"], [1e-2], 100))
 
     def test_first_order_rule_is_shared(self, catalog):
         # one rule and one exception type for the prefactor and no-go checks
-        for check in (lambda: run_prefactor_check("RECT", EXP, [1e-2], 100),
+        for check in (lambda: run_prefactor_check(prefactor_config(["RECT"], [1e-2], 100)),
                       lambda: verify_nogo(catalog["RECT"], 64)):
             with pytest.raises(NotFirstOrder) as info:
                 check()
             assert isinstance(info.value, ValueError)
-

@@ -84,6 +84,15 @@ class TestTimeGrid:
         np.testing.assert_array_equal(grid.midpoints, [0.25, 0.75, 1.25, 1.75])
         assert grid.tau_p == 2.0 and grid.n_steps == 4
 
+    def test_steps_above_dense_limit_are_refused(self):
+        # by uniform, and by the sampler for a grid built directly
+        n = noise.MAX_DENSE_N + 1
+        with pytest.raises(ValueError, match=f"{n} steps exceed"):
+            TimeGrid.uniform(1.0, n)
+        with pytest.raises(ValueError, match=f"{n} steps exceed"):
+            build_sampler(AutocorrelationModel("exponential", gamma=0.1),
+                          TimeGrid(np.arange(n + 1.0)), seed=0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0]))

@@ -196,6 +196,20 @@ class TestEnsembleEvolution:
         alone = evolve_ensemble(p, grid, block[:, 2:])
         assert all(a[0] == b[2] for a, b in zip(alone, (w, x, y, z)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_drive_on_tiny_steps_takes_exact_route(self, catalog):
+        # v^2 overflows to inf and dt^2 underflows to 0, so p = inf * 0 is nan,
+        # although each step's phase v dt is pi/8
+        eta = np.array([[0.0, 0.3], [0.0, -0.2], [0.0, 0.5], [0.0, 0.1]])
+        results = []
+        for inv_v in (1e-300, 1e-3):
+            p = catalog["RECT"].for_inverse_amplitude(inv_v)
+            results.append(evolve_ensemble(p, build_time_grid(p, 4), eta / inv_v))
+        huge, moderate = np.array(results)
+        np.testing.assert_allclose(huge[:, 0], [0.0, 1.0, 0.0, 0.0], rtol=0, atol=1e-12)
+        # the same phases at a moderate scale: the noisy column is scale invariant
+        np.testing.assert_allclose(huge[:, 1], moderate[:, 1], rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("scale", [0.3, 30.0])
     def test_block_of_chunks_matches_chunks(self, catalog, scale):
         # scale 30 puts some realizations of a step above the series bound

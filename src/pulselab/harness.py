@@ -55,7 +55,7 @@ from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN, NoiseSampler,
                     _require_dense, build_sampler)
 from .propagator import evolve_ensemble
 from .pulses import (PiecewiseConstantPulse, PulseCatalog, _require_first_order,
-                     build_time_grid, load_catalog)
+                     _require_steps, build_time_grid, load_catalog)
 
 #: points whose relative standard error of mean Delta_F exceeds this are excluded
 REL_STDERR_MAX = 0.05
@@ -368,7 +368,10 @@ def _run_cell(pulse: PiecewiseConstantPulse, sampler: NoiseSampler, cell_index: 
 
 def _sweep(config: ScalingExperimentConfig, catalog: PulseCatalog) -> Iterator[CellStats]:
     """One cell record per cell, pulses outermost; cell k builds its own grid
-    and sampler and draws chunk c from stream (k, c)."""
+    and sampler and draws chunk c from stream (k, c).  Every pulse's step
+    count is checked before the first cell is drawn."""
+    for name in config.pulses:
+        _require_steps(catalog[name], config.steps_per_pulse)
     cells = [(name, inv_v) for name in config.pulses for inv_v in config.inv_v_grid]
     for k, (name, inv_v) in enumerate(cells):
         scaled = catalog[name].for_inverse_amplitude(inv_v)

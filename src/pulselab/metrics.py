@@ -56,13 +56,15 @@ def accumulate_values(values: Sequence[float]) -> MonteCarloEstimate:
     """Mean and standard error via exactly-rounded (fsum) summation.
 
     fsum returns the correctly rounded sum regardless of ordering, so chunked
-    or permuted accumulation of the same samples is bit-identical.
+    or permuted accumulation of the same samples is bit-identical.  The mean
+    is held inside [min, max]: the rounded sum of m equal samples over m can
+    miss their value by an ulp, which would give them a nonzero spread.
     """
     arr = np.asarray(values, dtype=float)
     m = arr.size
     if m < 2:
         raise ValueError("need at least 2 samples")
-    mean = math.fsum(arr) / m
+    mean = min(max(math.fsum(arr) / m, float(arr.min())), float(arr.max()))
     var = math.fsum((arr - mean) ** 2) / (m - 1)
     stderr = math.sqrt(var / m)
     return MonteCarloEstimate(mean, stderr, math.sqrt(max(mean, 0.0)), m)

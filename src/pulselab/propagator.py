@@ -11,9 +11,23 @@ U_tot = U_N ... U_2 U_1 (latest step leftmost).  No further integration error
 enters beyond the step-constant noise model itself.
 
 One kernel, ``evolve_ensemble``, evaluates that product for a whole block of
-realizations at once in SU(2) quaternion components (w, x, y, z) with
-U = w 1 - i (x sx + y sy + z sz), which keeps tiny deviations from the ideal
-pulse representable without cancellation.
+realizations at once in the two complex Cayley-Klein parameters of SU(2),
+
+    U = [[alpha, -i conj(delta)], [-i delta, conj(alpha)]],
+
+alpha = w - i z and delta = x + i y, where U = w 1 - i (x sx + y sy + z sz)
+in quaternion components (w, x, y, z); these keep tiny deviations from the
+ideal pulse representable without cancellation (Pauly et al., IEEE Trans.
+Med. Imaging 10, 53, 1991).  A step is [[a, -i sx], [-i sx, conj(a)]] with
+phi = h dt, a = cos(phi) - i sz and (sx, sz) = (v, eta) sin(phi)/h, so its
+left product is
+
+    alpha' = a alpha - sx delta,    delta' = conj(a) delta + sx alpha.
+
+Each product is written into a buffer that is neither of its factors, never
+in place: numpy's in-place complex multiply of a one-element array takes a
+scalar path that rounds differently from the vector loop of every other
+width, which would tie a lone realization's result to the size of its block.
 
 The step needs cos(phi) and sin(phi)/h with phi = h dt.  Both are taken from
 p = phi^2 = (eta^2 + v^2) dt^2, with no transcendental call, as the degree-4
@@ -69,7 +83,8 @@ def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
     ``eta_block`` has shape (n_steps, *batch), e.g. (n_steps, m) or
     (n_steps, C, m): row i holds the step-i noise values of every
     realization.  Returns the quaternion components (w, x, y, z) of U_tot per
-    realization, each of shape ``batch``, with U = w 1 - i (x sx + y sy + z sz).
+    realization, each of shape ``batch``, with U = w 1 - i (x sx + y sy + z sz):
+    (Re alpha, Re delta, Im delta, -Im alpha) of its Cayley-Klein parameters.
     A realization's result depends on its own column alone, so a
     (n_steps, C, m) block evolves bit-identically to its C chunks one by one.
     """
@@ -79,12 +94,13 @@ def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
     if eta_block.shape[0] != grid.n_steps:
         raise GridMismatch(
             f"noise block has {eta_block.shape[0]} rows for {grid.n_steps} steps")
-    batch = eta_block.shape[1:]
 
-    w = np.ones(batch)
-    x = np.zeros(batch)
-    y = np.zeros(batch)
-    z = np.zeros(batch)
+    # every product goes to a buffer that is neither of its factors, and the
+    # three state buffers take turns: the spare one receives alpha', and the
+    # one that held alpha, once sx alpha is formed, receives delta'
+    alpha, delta, spare, a_bar, sx, product = (
+        np.zeros(eta_block.shape[1:], complex) for _ in range(6))
+    alpha += 1.0
     for eta, v, dt in zip(eta_block, pulse.amplitudes_on(grid.midpoints).tolist(),
                           grid.widths.tolist()):
         # a huge eta overflows p and the series to inf, and a huge v on a
@@ -95,18 +111,19 @@ def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
             p = eta * eta
             p += v * v
             p *= dt * dt             # the squared step phase (h dt)^2
-            c = _series(p, _COS_SERIES)
+            a_bar.real = _series(p, _COS_SERIES)
             s_over_h = dt * _series(p, _SINC_SERIES)
             if not p.max() <= P_SERIES_MAX:
                 big = ~(p <= P_SERIES_MAX)
                 h = np.hypot(eta[big], v)
-                c[big] = np.cos(h * dt)
+                a_bar.real[big] = np.cos(h * dt)
                 s_over_h[big] = np.sin(h * dt) / h
-        sx = v * s_over_h
-        sz = eta * s_over_h
-        # left-multiply by the step quaternion (c, sx, 0, sz)
-        w, x, y, z = (c * w - sx * x - sz * z,
-                      c * x + sx * w - sz * y,
-                      c * y - sx * z + sz * x,
-                      c * z + sx * y + sz * w)
-    return w, x, y, z
+        np.multiply(eta, s_over_h, out=a_bar.imag)      # conj(a) = cos(phi) + i sz
+        np.multiply(v, s_over_h, out=sx.real)           # sx is real: its imag stays 0
+        np.multiply(np.conjugate(a_bar, out=product), alpha, out=spare)
+        spare -= np.multiply(sx, delta, out=product)    # alpha'
+        np.multiply(sx, alpha, out=product)
+        np.multiply(a_bar, delta, out=alpha)
+        alpha += product                                # delta'
+        alpha, delta, spare = spare, alpha, delta
+    return alpha.real, delta.real, delta.imag, -alpha.imag

@@ -384,6 +384,12 @@ def grid_is_aligned(pulse: PiecewiseConstantPulse, grid: TimeGrid) -> bool:
     return all(np.any(b == t) for t in pulse.switching_instants)
 
 
+def _require_steps(pulse: PiecewiseConstantPulse, n_steps: int) -> None:
+    """Refuse a grid of fewer steps than `pulse` has segments (ValueError)."""
+    if n_steps < len(pulse.segments):
+        raise ValueError(f"need at least {len(pulse.segments)} steps for {pulse.name}")
+
+
 def build_time_grid(pulse: PiecewiseConstantPulse, n_steps: int) -> TimeGrid:
     """Uniform-per-segment grid with every switching instant on a boundary.
 
@@ -391,8 +397,7 @@ def build_time_grid(pulse: PiecewiseConstantPulse, n_steps: int) -> TimeGrid:
     (largest-remainder rounding, at least one step per segment), so the total
     step count equals n_steps whenever n_steps >= number of segments.
     """
-    if n_steps < len(pulse.segments):
-        raise ValueError(f"need at least {len(pulse.segments)} steps for {pulse.name}")
+    _require_steps(pulse, n_steps)
     edges = _layout(pulse.segments)[0]
     ideal = np.diff(edges) * n_steps
     counts = np.maximum(1, np.floor(ideal).astype(int))

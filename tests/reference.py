@@ -5,13 +5,16 @@ U = w 1 - i (x sx + y sy + z sz).  These slower, independent routes work on
 the matrices themselves: the Pauli matrices, the matrix of a quaternion and
 back, the polarized-state trace route of DF^2 and its partials, and the Bloch
 rotation that a quaternion applies to a polarization vector.  ``evolve_one``
-hands the package's kernel one realization at a time.  ``weighted_fit``
+hands the package's kernel one realization at a time, and
+``evolve_quaternions`` is the kernel's step product written in the four real
+quaternion components instead of its two complex ones.  ``weighted_fit``
 writes out the weighted least squares that ``fit_exponent`` leaves to numpy.
 """
 
 import numpy as np
 
 from pulselab import evolve_ensemble
+from pulselab.propagator import P_SERIES_MAX, _COS_SERIES, _SINC_SERIES, _series
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -67,6 +70,31 @@ def evolve_one(pulse, grid, eta) -> tuple[float, float, float, float]:
     value per step, or one value for every step."""
     block = np.broadcast_to(np.asarray(eta, dtype=float), (grid.n_steps,))[:, None]
     return tuple(c[0] for c in evolve_ensemble(pulse, grid, block))
+
+
+def evolve_quaternions(pulse, grid, eta_block) -> tuple[np.ndarray, ...]:
+    """(w, x, y, z) of U_tot for each column of `eta_block`, as
+    ``evolve_ensemble`` returns them: the same p-series and exact branch per
+    step, then a left product by the step quaternion (cos phi, sx, 0, sz) in
+    real components."""
+    batch = eta_block.shape[1:]
+    w, x, y, z = np.ones(batch), np.zeros(batch), np.zeros(batch), np.zeros(batch)
+    for eta, v, dt in zip(eta_block, pulse.amplitudes_on(grid.midpoints), grid.widths):
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = (eta * eta + v * v) * (dt * dt)
+            c = _series(p, _COS_SERIES)
+            s_over_h = dt * _series(p, _SINC_SERIES)
+            big = ~(p <= P_SERIES_MAX)
+            h = np.hypot(eta[big], v)
+            c[big] = np.cos(h * dt)
+            s_over_h[big] = np.sin(h * dt) / h
+        sx = v * s_over_h
+        sz = eta * s_over_h
+        w, x, y, z = (c * w - sx * x - sz * z,
+                      c * x + sx * w - sz * y,
+                      c * y - sx * z + sz * x,
+                      c * z + sx * y + sz * w)
+    return w, x, y, z
 
 
 def weighted_fit(points) -> tuple[float, float, float, float]:

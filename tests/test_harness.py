@@ -152,6 +152,18 @@ class TestRunScaling:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_one_column_remainder_is_worker_count_invariant(self):
+        # 4 full chunks in groups of 1, 2 and 3 (the last one partial at 3
+        # workers), then a remainder of one realization, a block one column
+        # wide at every worker count
+        chunk = 256
+        cfg = dict(realizations=4 * chunk + 1, chunk_size=chunk)
+        for model in (EXP, GAUSS):
+            runs = [run_scaling(small_config(model=model, workers=n, **cfg))
+                    for n in (1, 2, 3)]
+            for r in runs[1:]:
+                assert r.csv_text() == runs[0].csv_text()
+
     def test_workers_above_full_chunks(self, monkeypatch):
         # 8 workers, 2 full chunks: one buffer of 2 blocks and 2 threads at most
         n_steps, chunk = 256, 1024
@@ -236,6 +248,12 @@ class TestRunScaling:
         with pytest.raises(ValueError, match="8193 steps exceed"):
             small_config(steps_per_pulse=8193)
 
+    def test_every_pulse_has_enough_steps_before_any_cell(self, monkeypatch):
+        # CORPSE's three segments on two steps: refused before RECT's cells
+        monkeypatch.setattr("pulselab.harness._run_cell", None)
+        with pytest.raises(ValueError, match="^need at least 3 steps for CORPSE$"):
+            run_scaling(small_config(inv_v_grid=(1e-3, 3e-3, 1e-2), steps_per_pulse=2))
+
     def test_fit_window_end_left_none_takes_the_default(self):
         assert small_config(fit_window=(2e-3, None)).window == (2e-3, 3e-2)
 
@@ -310,6 +328,13 @@ class TestPrefactorCheck:
         monkeypatch.setattr("pulselab.harness._run_cell", None)
         with pytest.raises(NotFirstOrder, match="RECT"):
             run_prefactor_check(prefactor_config(["CORPSE", "SYM2ND", "RECT"], [1e-2], 100))
+
+    def test_every_pulse_has_enough_steps_before_any_cell(self, monkeypatch):
+        # SYM2ND's five segments on three steps: refused before CORPSE's cells
+        monkeypatch.setattr("pulselab.harness._run_cell", None)
+        with pytest.raises(ValueError, match="^need at least 5 steps for SYM2ND$"):
+            run_prefactor_check(prefactor_config(["CORPSE", "SYM2ND"], [1e-2], 100,
+                                                 steps_per_pulse=3))
 
     def test_first_order_rule_is_shared(self, catalog):
         # one rule and one exception type for the prefactor and no-go checks

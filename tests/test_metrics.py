@@ -121,6 +121,14 @@ class TestAccumulate:
         assert est.mean_df == 0.5
         assert est.realizations == 10
 
+    def test_equal_samples_have_no_spread(self):
+        # fsum(50 x) / 50 rounds one ulp below x = 1.3333333333333321, the DF^2
+        # of every realization of a cell whose huge eta0 swamps the noise
+        x = 1.3333333333333321
+        assert math.fsum([x] * 50) / 50 != x
+        est = accumulate_values(np.full(50, x))
+        assert est.mean_df2 == x and est.stderr_df2 == 0.0
+
     def test_two_point_sample(self):
         est = accumulate_values([0.0, 2.0 / 3.0])
         np.testing.assert_allclose(est.mean_df2, 1.0 / 3.0, rtol=1e-15)

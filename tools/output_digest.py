@@ -63,25 +63,32 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(invocations) -> list[str]:
-    """The digest lines of each invocation, in order."""
+def run(args, inputs, src=SRC) -> tuple[int, bytes, bytes, dict[str, bytes]]:
+    """Run one invocation on the package in `src`: its exit code, stdout,
+    stderr and {relative path: bytes} of every file it wrote."""
     env = {k: v for k, v in os.environ.items() if k != "PULSELAB_SEED"}
     env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = Path(tmp)
+        for name, text in inputs.items():
+            (cwd / name).write_text(text, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "pulselab", *args], cwd=cwd,
+                              env=env, capture_output=True, timeout=600)
+        written = sorted(p.relative_to(cwd).as_posix() for p in cwd.rglob("*")
+                         if p.is_file())
+        files = {name: (cwd / name).read_bytes() for name in written if name not in inputs}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def digest(invocations) -> list[str]:
+    """The digest lines of each invocation, in order."""
     lines = []
     for args, inputs in invocations:
-        with tempfile.TemporaryDirectory() as tmp:
-            cwd = Path(tmp)
-            for name, text in inputs.items():
-                (cwd / name).write_text(text, encoding="utf-8")
-            proc = subprocess.run([sys.executable, "-m", "pulselab", *args], cwd=cwd,
-                                  env=env, capture_output=True, timeout=600)
-            lines += [f"$ pulselab {' '.join(args)}", f"exit {proc.returncode}",
-                      f"{_sha(proc.stdout)}  <stdout>", f"{_sha(proc.stderr)}  <stderr>"]
-            written = sorted(p.relative_to(cwd).as_posix() for p in cwd.rglob("*")
-                             if p.is_file())
-            lines += [f"{_sha((cwd / name).read_bytes())}  {name}"
-                      for name in written if name not in inputs]
+        code, out, err, files = run(args, inputs)
+        lines += [f"$ pulselab {' '.join(args)}", f"exit {code}",
+                  f"{_sha(out)}  <stdout>", f"{_sha(err)}  <stderr>"]
+        lines += [f"{_sha(data)}  {name}" for name, data in files.items()]
     return lines
 
 

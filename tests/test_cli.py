@@ -536,6 +536,46 @@ class TestOtherSubcommands:
         assert run([]) == 1
 
 
+#: a child that runs every subcommand but design, then a design its argument
+#: checks refuse and a tiny one, and prints the scipy modules loaded after each
+SCIPY_PROBE = """
+import json, sys
+import pulselab
+from pulselab import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+pulselab.load_catalog()
+steps = [["import", None, loaded()]]
+exp = ["--model", "exponential", "--gamma", "0.01", "--out", "out"]
+for args in (["catalog-validate"], ["nogo", "--grid", "64", "--out", "out"],
+             ["scaling", *exp, "--pulses", "rect", "--inv-v", "1e-3,3e-3,1e-2",
+              "--realizations", "400", "--steps", "16"],
+             ["prefactor", *exp, "--realizations", "100", "--steps", "16"],
+             ["noise-validate", "--model", "gaussian", "--gamma", "0.5",
+              "--steps", "8", "--realizations", "100", "--out", "out"],
+             ["design", *exp, "--restarts", "0"],
+             ["design", *exp, "--segments", "3", "--budget", "5", "--restarts", "1"]):
+    steps.append([args[0], cli.main(args), loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_only_design_loads_scipy(tmp_path):
+    # a fresh interpreter: the test process has scipy loaded by other tests
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], cwd=tmp_path,
+                          env=_child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *cold, design = json.loads(proc.stdout.splitlines()[-1])
+    assert [step[:2] for step in cold] == [
+        ["import", None], ["catalog-validate", 0], ["nogo", 0], ["scaling", 0],
+        ["prefactor", 0], ["noise-validate", 0], ["design", 2]]
+    assert all(modules == [] for _, _, modules in cold), cold
+    assert design[:2] == ["design", 0] and "scipy.optimize" in design[2]
+
+
 # one invocation per subcommand that writes to --out
 OUT_COMMANDS = {
     "scaling": ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",

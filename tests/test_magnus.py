@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.optimize import least_squares
 
 from pulselab import (AutocorrelationModel, NoFeasiblePoint, NotFirstOrder,
                       build_time_grid, evaluate_i1, evaluate_i32,
@@ -401,3 +402,23 @@ class TestMinimizeI32:
     def test_requires_cusp_model(self):
         with pytest.raises(ValueError):
             minimize_i32(3, GAUSS_MODEL)
+
+
+class TestTracerNames:
+    """``magnus.quad`` and ``magnus.least_squares`` forward to scipy: the
+    benchmark tracer wraps them by name, so they are module attributes."""
+
+    def test_names_are_module_attributes(self):
+        assert "quad" in vars(magnus) and "least_squares" in vars(magnus)
+
+    def test_quad_forwards(self):
+        assert magnus.quad(math.sin, 0.0, math.pi) == quad(math.sin, 0.0, math.pi)
+
+    def test_least_squares_forwards(self):
+        t = np.linspace(0.0, 1.0, 9)
+
+        def residuals(p):
+            return p[0] * t - (2.0 * t + 0.1)
+
+        ours, ref = magnus.least_squares(residuals, [1.0]), least_squares(residuals, [1.0])
+        assert ours.x.tolist() == ref.x.tolist() and ours.cost == ref.cost

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -180,16 +181,67 @@ def _params_of(pulse: PiecewiseConstantPulse) -> np.ndarray:
     return np.concatenate([np.diff(edges), amps])
 
 
-def _layout_of_params(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (edges, amplitudes) of theta = (n widths, n amplitudes).
+def _layout_of_params(theta: list[float]) -> tuple[list[float], list[float], float]:
+    """The (edges, amplitudes) of theta = (n widths, n amplitudes), and sum(w).
 
-    The edges are the cumulative sums of w / sum(w), so any positive widths
-    tile [0, 1], whether or not they add up to 1.
+    The edges are the running sums of w over sum(w), so any positive widths
+    tile [0, 1], whether or not they add up to 1.  sum(w) is the last running
+    sum: left to right, as numpy sums fewer than 8 floats (from 8 on its sum
+    is pairwise), and as the built-in ``sum`` does before Python 3.12.
     """
-    n = theta.size // 2
-    edges = np.concatenate([[0.0], np.cumsum(theta[:n]) / theta[:n].sum()])
-    edges[-1] = 1.0
-    return edges, theta[n:]
+    n = len(theta) // 2
+    sums = list(accumulate(theta[:n]))
+    return [0.0, *(s / sums[-1] for s in sums[:-1]), 1.0], theta[n:], sums[-1]
+
+
+def _search_box(n: int, v_max_taup: float) -> tuple[list[float], list[float]]:
+    """theta's bounds at n segments: widths in [MIN_GAP, 1], amplitudes in
+    [-v_max_taup, v_max_taup]."""
+    return [MIN_GAP] * n + [-v_max_taup] * n, [1.0] * n + [v_max_taup] * n
+
+
+def _kernel_and_constraints(theta: list[float]) -> tuple[float, tuple[float, ...]]:
+    """K and the equality constraints (psi(1) - pi, S, C, sum(w) - 1) at theta."""
+    edges, amps, width_sum = _layout_of_params(theta)
+    sums = _shape_sums(edges, amps)
+    return sums[4], (*_pi_pulse_residuals(sums), width_sum - 1.0)
+
+
+#: the absolute finite-difference step of scipy's SLSQP, sqrt(machine epsilon)
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _forward_differences(theta: list[float], k0: float, c0: tuple[float, ...],
+                         lo: list[float], hi: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """K's gradient and the constraints' 4 x n Jacobian at theta, from one pass
+    over its coordinates; k0 and c0 are K and the constraints at theta.
+
+    The rule is scipy 1.17's ``approx_derivative`` ('2-point', absolute step
+    _FD_STEP, bounds [lo, hi]), which ``minimize(method="SLSQP")`` applies
+    when given no ``jac``, step for step, so SLSQP sees the same arrays to the
+    bit: a step lost in x's rounding becomes _FD_STEP * sign(x) * max(1, |x|);
+    a step that leaves [lo, hi] is taken backwards when that fits, and one
+    that fits neither way goes to the farther bound; the quotient's
+    denominator is (x + h) - x.  Both arrays are C-contiguous: SLSQP
+    misreads a strided one.
+    """
+    grad, columns = [], []
+    for i, (x, lower, upper) in enumerate(zip(theta, lo, hi)):
+        h = _FD_STEP
+        if (x + h) - x == 0.0:
+            h = _FD_STEP * (1.0 if x >= 0.0 else -1.0) * max(1.0, abs(x))
+        below, above = x - lower, upper - x
+        if abs(h) > max(below, above):
+            h = above if above >= below else -below
+        elif x + h < lower or x + h > upper:
+            h = -h
+        point = theta.copy()
+        point[i] = x + h
+        k1, c1 = _kernel_and_constraints(point)
+        dx = (x + h) - x
+        grad.append((k1 - k0) / dx)
+        columns.append([(b - a) / dx for a, b in zip(c0, c1)])
+    return np.array(grad), np.array(columns).T.copy()
 
 
 def minimize_i32(n_segments: int, model: AutocorrelationModel,
@@ -200,13 +252,16 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
     One constrained solver: SLSQP on the closed-form kernel K of
     theta = (n widths in [MIN_GAP, 1], n amplitudes in [-v_max_taup,
     v_max_taup]) under the equality constraints angle = pi, S = C = 0 and
-    sum(w) = 1, with finite-difference gradients; ``budget`` is its iteration
-    limit per start.  The search is nested in the segment count: the
-    3-segment stage starts from CORPSE, SCORPSE, the two palindromic
-    bang-bang pi-pulses (amplitudes -+-v_max_taup or +-+v_max_taup) and
-    ``restarts`` random points, and stage n + 1 from stage n's best with its
-    longest segment split in two (the same pulse, so it keeps its value) and
-    ``restarts`` random points.  Every start is itself a candidate, so the
+    sum(w) = 1; ``budget`` is its iteration limit per start.  The gradients
+    are the search's own forward differences (``_forward_differences``),
+    with the step and bound rule scipy applies when given none, so SLSQP
+    takes the same path as with scipy's, without its per-call overhead.
+    The search is nested in the segment count: the 3-segment stage starts
+    from CORPSE, SCORPSE, the two palindromic bang-bang pi-pulses
+    (amplitudes -+-v_max_taup or +-+v_max_taup) and ``restarts`` random
+    points, and stage n + 1 from stage n's best with its longest segment
+    split in two (the same pulse, so it keeps its value) and ``restarts``
+    random points.  Every start is itself a candidate, so the
     best value never rises with n.  The amplitude bound keeps a shrinking
     support from shrinking I_3/2 without limit; the minima ride it.
 
@@ -232,22 +287,35 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
         raise ValueError("need at least 1 restart")
     if budget < 1:
         raise ValueError("need a budget of at least 1 iteration")
-    if not 0.0 < v_max_taup < math.inf:
-        raise ValueError("v_max_taup must be positive and finite")
+    if not (0.0 < v_max_taup and math.isfinite(2.0 * v_max_taup)):
+        # the random starts are drawn over the range 2 v_max_taup
+        raise ValueError("v_max_taup must be positive, with 2 v_max_taup finite")
     from scipy.optimize import minimize
 
     @lru_cache(maxsize=64)  # SLSQP asks for K and the constraints at the same points
-    def evaluate(key: bytes) -> tuple[float, np.ndarray]:
-        theta = np.frombuffer(key)
-        sums = _shape_sums(*_layout_of_params(theta))
-        width_sum = theta[: theta.size // 2].sum()
-        return sums[4], np.array([*_pi_pulse_residuals(sums), width_sum - 1.0])
+    def evaluate(key: bytes) -> tuple[float, tuple[float, ...]]:
+        return _kernel_and_constraints(np.frombuffer(key).tolist())
+
+    # and then for both Jacobians at the same point.  A cache of its own: an
+    # evaluate that called itself would be a reference cycle, which keeps
+    # each search's cache alive until the cyclic garbage collector runs
+    @lru_cache(maxsize=1)
+    def differentiate(key: bytes) -> tuple[np.ndarray, np.ndarray]:
+        theta = np.frombuffer(key).tolist()
+        return _forward_differences(theta, *evaluate(key),
+                                    *_search_box(len(theta) // 2, v_max_taup))
 
     def kernel(theta):
         return evaluate(theta.tobytes())[0]
 
+    def kernel_gradient(theta):
+        return differentiate(theta.tobytes())[0]
+
     def constraints(theta):
         return evaluate(theta.tobytes())[1]
+
+    def constraints_jacobian(theta):
+        return differentiate(theta.tobytes())[1]
 
     best, best_val = None, math.inf
     for n in range(3, n_segments + 1):
@@ -268,14 +336,15 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
             best = np.insert(best, [k, n - 1 + k], [best[k] / 2.0, best[n - 1 + k]])
             best[k + 1] = best[k]
             starts = [best]
-        lo = np.concatenate([np.full(n, MIN_GAP), np.full(n, -v_max_taup)])
-        hi = np.concatenate([np.ones(n), np.full(n, v_max_taup)])
+        lo, hi = _search_box(n, v_max_taup)
         for r in range(restarts):
             starts.append(_stream_generator(seed, n, r).uniform(lo, hi))
         for theta0 in starts:
             theta0 = np.clip(theta0, lo, hi)
-            sol = minimize(kernel, theta0, method="SLSQP", bounds=list(zip(lo, hi)),
-                           constraints={"type": "eq", "fun": constraints},
+            sol = minimize(kernel, theta0, method="SLSQP", jac=kernel_gradient,
+                           bounds=list(zip(lo, hi)),
+                           constraints={"type": "eq", "fun": constraints,
+                                        "jac": constraints_jacobian},
                            options={"maxiter": budget, "ftol": 1e-15})
             for theta in (theta0, sol.x):
                 val, cons = evaluate(theta.tobytes())
@@ -285,7 +354,7 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
             raise NoFeasiblePoint(
                 f"no feasible {n}-segment pulse from {len(starts)} starts")
 
-    edges, amps = _layout_of_params(best)   # segments for the returned design only
-    segments = tuple(map(PulseSegment, edges[:-1].tolist(), edges[1:].tolist(), amps.tolist()))
+    edges, amps, _ = _layout_of_params(best.tolist())   # segments for the returned design only
+    segments = tuple(map(PulseSegment, edges[:-1], edges[1:], amps))
     pulse = PiecewiseConstantPulse(f"designed-{n_segments}seg", 1.0, segments, order=1)
     return pulse, model.cusp_coefficient * best_val

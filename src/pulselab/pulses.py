@@ -7,13 +7,14 @@ tau_p = (v tau_p product) / v.  The rotation angle
     psi(t) = 2 * integral_0^t v(t') dt'
 
 is piecewise linear, so F(x) = int_0^x e^{i psi} is "constant + c e^{i b x}" on
-each segment.  The closed forms read one array layout of a shape, (edges,
+each segment.  The closed forms read one layout of a shape, (edges,
 amplitudes) from ``_layout``: the n + 1 segment boundaries and the n
-amplitude_taup values; psi at the edges is cumsum(2 a dx) (``_edge_angles``).
-Every segment integral of the package is a short sum over one table of
-closed-form primitives of F, built on a shape's layout: one pass over it
-gives S and C here and the moments, the ordered sine integral and the
-anomalous kernel in ``magnus`` (``_shape_sums``).
+amplitude_taup values, as lists of Python floats; psi at the edges is the
+running sum of 2 a dx (``_edge_angles``).  Every segment integral of the
+package is a short sum over one table of closed-form primitives of F, built
+on a shape's layout: one pass over it gives S and C here and the moments,
+the ordered sine integral and the anomalous kernel in ``magnus``
+(``_shape_sums``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 
 import numpy as np
 
@@ -59,15 +61,19 @@ class PulseSegment:
     amplitude_taup: float
 
 
-def _layout(segments: tuple[PulseSegment, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _layout(segments: tuple[PulseSegment, ...]) -> tuple[list[float], list[float]]:
     """(edges, amplitudes) of a shape: n + 1 boundaries, n amplitude_taup values."""
-    return (np.array([segments[0].start] + [s.end for s in segments]),
-            np.array([s.amplitude_taup for s in segments]))
+    return [segments[0].start] + [s.end for s in segments], [s.amplitude_taup for s in segments]
 
 
-def _edge_angles(edges: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """psi at the edges, cumsum(2 a dx) from 0 (duration-independent)."""
-    return np.concatenate([[0.0], np.cumsum(2.0 * amplitudes * (edges[1:] - edges[:-1]))])
+def _edge_angles(edges: list[float], amplitudes: list[float]) -> list[float]:
+    """psi at the edges, the running sum of 2 a dx from 0 (duration-independent).
+
+    Python floats in numpy's order: ``accumulate`` adds left to right, as
+    ``np.cumsum`` does, so the angles are the same to the bit.
+    """
+    return [0.0, *accumulate(2.0 * a * (x1 - x0)
+                             for a, x0, x1 in zip(amplitudes, edges, edges[1:]))]
 
 
 @dataclass(frozen=True)
@@ -106,12 +112,12 @@ class PiecewiseConstantPulse:
     @property
     def switching_instants(self) -> np.ndarray:
         """Interior jump times, in time units."""
-        return _layout(self.segments)[0][1:-1] * self.tau_p
+        return np.array(_layout(self.segments)[0][1:-1]) * self.tau_p
 
     @property
     def edge_angles(self) -> np.ndarray:
         """psi at the segment boundaries (duration-independent)."""
-        return _edge_angles(*_layout(self.segments))
+        return np.array(_edge_angles(*_layout(self.segments)))
 
     @property
     def total_angle(self) -> float:
@@ -131,7 +137,7 @@ class PiecewiseConstantPulse:
     def amplitudes_on(self, times: np.ndarray) -> np.ndarray:
         """Vectorized v(t) at an array of times inside [0, tau_p]."""
         x = np.asarray(times, dtype=float) / self.tau_p
-        edges, amps = _layout(self.segments)
+        edges, amps = map(np.array, _layout(self.segments))
         idx = np.minimum(np.searchsorted(edges[1:], x, side="right"), len(amps) - 1)
         return amps[idx] / self.tau_p
 
@@ -145,8 +151,10 @@ class PiecewiseConstantPulse:
         """Vectorized psi(t) at an array of times inside [0, tau_p]."""
         x = np.asarray(times, dtype=float) / self.tau_p
         edges, amps = _layout(self.segments)
+        angles = np.array(_edge_angles(edges, amps))
+        edges, amps = np.array(edges), np.array(amps)
         idx = np.minimum(np.searchsorted(edges[1:], x, side="left"), len(amps) - 1)
-        return _edge_angles(edges, amps)[idx] + 2.0 * amps[idx] * (x - edges[idx])
+        return angles[idx] + 2.0 * amps[idx] * (x - edges[idx])
 
 
 def _primitive_table(widths: list[float], slopes: list[float], angles: list[float]
@@ -182,7 +190,7 @@ def _primitive_table(widths: list[float], slopes: list[float], angles: list[floa
     return table
 
 
-def _shape_sums(edges: np.ndarray, amplitudes: np.ndarray
+def _shape_sums(edges: list[float], amplitudes: list[float]
                 ) -> tuple[float, complex, complex, float, float]:
     """psi(1), F(1), int_0^1 x e^{i psi} dx, D and K of a shape, in fraction units.
 
@@ -191,16 +199,18 @@ def _shape_sums(edges: np.ndarray, amplitudes: np.ndarray
     the first moment adds x1 dF - G per segment, the ordered sine integral
     D = Im int_0^1 e^{i psi} conj(F) adds conj(F0) dF + W, and the kernel K
     of ``magnus`` adds |c|^2 dx + 4 Re(conj(c) G) + 4 Q with c = 2 F0 - F(1).
+    All of it is Python float arithmetic: on five segments a numpy call costs
+    more than the sum it does.
     """
-    widths = (edges[1:] - edges[:-1]).tolist()
-    angles = _edge_angles(edges, amplitudes).tolist()
-    table = _primitive_table(widths, (2.0 * amplitudes).tolist(), angles)
+    widths = [x1 - x0 for x0, x1 in zip(edges, edges[1:])]
+    angles = _edge_angles(edges, amplitudes)
+    table = _primitive_table(widths, [2.0 * a for a in amplitudes], angles)
     f1 = 0j
     for d_f, _, _, _ in table:
         f1 += d_f
     f0 = moment = ordered = 0j
     acc = 0.0
-    for x1, dx, (d_f, g, q, w) in zip(edges[1:].tolist(), widths, table):
+    for x1, dx, (d_f, g, q, w) in zip(edges[1:], widths, table):
         c = 2.0 * f0 - f1
         acc += (c.real**2 + c.imag**2) * dx + 4.0 * ((c.conjugate() * g).real + q)
         moment += x1 * d_f - g
@@ -398,7 +408,7 @@ def build_time_grid(pulse: PiecewiseConstantPulse, n_steps: int) -> TimeGrid:
     step count equals n_steps whenever n_steps >= number of segments.
     """
     _require_steps(pulse, n_steps)
-    edges = _layout(pulse.segments)[0]
+    edges = np.array(_layout(pulse.segments)[0])
     ideal = np.diff(edges) * n_steps
     counts = np.maximum(1, np.floor(ideal).astype(int))
     short = n_steps - int(counts.sum())

@@ -416,6 +416,8 @@ class TestOtherSubcommands:
          "--realizations", "100", "--pulses", "corpse"],
         ["design", "--model", "exponential", "--gamma", "0.01", "--vmax", "nan"],
         ["design", "--model", "exponential", "--gamma", "0.01", "--vmax", "inf"],
+        # the random starts are drawn over 2 v_max_taup, which overflows
+        ["design", "--model", "exponential", "--gamma", "0.01", "--vmax", "1e308"],
         ["design", "--model", "exponential", "--gamma", "0.01", "--budget", "-1"],
         # non-finite parameters are refused by the value types
         ["nogo", "--pulse", "scorpse", "--model", "exponential", "--gamma", "nan"],
@@ -495,7 +497,8 @@ class TestOtherSubcommands:
             "nogo-zero-grid", "nogo-negative-grid", "design-zero-restarts",
             "design-negative-vmax", "scaling-zero-workers", "nogo-one-point-grid",
             "nogo-dense-grid-too-large", "scaling-dense-steps-too-large",
-            "design-nan-vmax", "design-inf-vmax", "design-negative-budget",
+            "design-nan-vmax", "design-inf-vmax", "design-overflowing-vmax",
+            "design-negative-budget",
             "nogo-nan-gamma", "scaling-nan-inv-v", "prefactor-nan-inv-v",
             "noise-validate-nan-g0", "noise-validate-nan-span", "noise-validate-inf-span",
             "noise-validate-zero-span", "noise-validate-negative-span",

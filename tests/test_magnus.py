@@ -1,7 +1,11 @@
 """Tests for the Magnus-expansion quantities and the no-go machinery."""
 
 import dataclasses
+import gc
+import json
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -10,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
-from scipy.optimize import least_squares
+from scipy.optimize import approx_fprime, least_squares
+from scipy.optimize._numdiff import approx_derivative
+from test_cli import _child_env
 
 from pulselab import (AutocorrelationModel, NoFeasiblePoint, NotFirstOrder,
                       build_time_grid, evaluate_i1, evaluate_i32,
@@ -327,6 +333,15 @@ class TestVerifyNogo:
             verify_nogo(catalog["RECT"].with_duration(1.0), 128)
 
 
+#: the seed-0 search at budget 2000 x 3 restarts, as the design benchmark runs it
+PINNED_DESIGNS = """
+import json
+from pulselab import AutocorrelationModel, minimize_i32
+EXP = AutocorrelationModel("exponential", g0=1.0, gamma=0.01)
+print(json.dumps([minimize_i32(n, EXP, budget=2000, restarts=3, seed=0)[1] for n in (3, 4, 5)]))
+"""
+
+
 class TestMinimizeI32:
     @staticmethod
     def constraint_residual(pulse):
@@ -393,6 +408,27 @@ class TestMinimizeI32:
         pulse, val = minimize_i32(n_seg, EXP_MODEL, budget=50, restarts=1, seed=0)
         assert val == EXP_MODEL.cusp_coefficient * _i32_shape_kernel(pulse.segments)
 
+    def test_seed_zero_designs_are_pinned(self):
+        # the designs depend on the BLAS thread count, so a child pins it to one
+        proc = subprocess.run([sys.executable, "-c", PINNED_DESIGNS], capture_output=True,
+                              env=_child_env(OPENBLAS_NUM_THREADS="1"), text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [1.071694474125724e-4, 6.756615943606211e-5,
+                                           6.737047023675882e-5]
+
+    def test_search_leaves_no_reference_cycle(self):
+        # a point cache that referred to itself would keep each search's
+        # cache alive until the cyclic collector runs
+        minimize_i32(3, EXP_MODEL, budget=30, restarts=1)
+        gc.collect()
+        gc.disable()
+        try:
+            minimize_i32(4, EXP_MODEL, budget=30, restarts=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_infeasible_amplitude_budget(self):
         # |amplitude| <= 0.5 cannot reach a pi rotation at tau_p = 1
         with pytest.raises(NoFeasiblePoint):
@@ -402,6 +438,89 @@ class TestMinimizeI32:
     def test_requires_cusp_model(self):
         with pytest.raises(ValueError):
             minimize_i32(3, GAUSS_MODEL)
+
+
+FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def search_box(n, v_max_taup=magnus.DEFAULT_V_MAX_TAUP):
+    return magnus._search_box(n, v_max_taup)
+
+
+def kernel_of(theta):
+    return magnus._kernel_and_constraints(np.asarray(theta).tolist())[0]
+
+
+def constraints_of(theta):
+    return np.array(magnus._kernel_and_constraints(np.asarray(theta).tolist())[1])
+
+
+def search_jacobians(theta, lo, hi):
+    theta = list(theta)
+    return magnus._forward_differences(theta, *magnus._kernel_and_constraints(theta), lo, hi)
+
+
+class TestForwardDifferences:
+    """The design search's own Jacobians follow the rule of scipy's 2-point
+    differences, so SLSQP takes the same path as with scipy's."""
+
+    @pytest.fixture(params=["CORPSE", "SCORPSE", "random-5"])
+    def theta(self, request, catalog):
+        if request.param == "random-5":
+            return np.random.default_rng(3).uniform(*search_box(5))
+        return magnus._params_of(catalog[request.param])
+
+    def test_interior_point_matches_approx_fprime(self, theta):
+        grad, jac = search_jacobians(theta, *search_box(theta.size // 2))
+        assert np.array_equal(grad, approx_fprime(theta, kernel_of, FD_STEP))
+        assert np.array_equal(jac, approx_fprime(theta, constraints_of, FD_STEP))
+
+    def test_arrays_are_c_contiguous_float64(self, theta):
+        n = theta.size // 2
+        grad, jac = search_jacobians(theta, *search_box(n))
+        assert grad.shape == (2 * n,) and jac.shape == (4, 2 * n)
+        for arr in (grad, jac):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("i, side", [(0, "upper"), (1, "lower"), (3, "lower"),
+                                         (4, "upper")])
+    def test_step_on_a_bound_points_inside(self, catalog, i, side):
+        # the step leaves the box forwards from an upper bound, so it is taken
+        # backwards; from a lower bound the forward step stays inside
+        theta = magnus._params_of(catalog["CORPSE"])
+        lo, hi = search_box(3)
+        theta[i] = hi[i] if side == "upper" else lo[i]
+        grad, jac = search_jacobians(theta, lo, hi)
+        h = -FD_STEP if side == "upper" else FD_STEP
+        point = theta.copy()
+        point[i] = theta[i] + h
+        dx = (theta[i] + h) - theta[i]
+        assert lo[i] <= point[i] <= hi[i]
+        assert grad[i] == (kernel_of(point) - kernel_of(theta)) / dx
+        assert np.array_equal(jac[:, i], (constraints_of(point) - constraints_of(theta)) / dx)
+
+    @pytest.mark.parametrize("case", ["upper-bounds", "lower-bounds", "narrow-box",
+                                      "large-amplitude"])
+    def test_bounded_point_matches_approx_derivative(self, catalog, case):
+        # approx_derivative with bounds is what SLSQP calls when given no jac
+        theta = magnus._params_of(catalog["SCORPSE"])
+        lo, hi = search_box(3)
+        if case == "upper-bounds":
+            theta[[0, 3]] = hi[0], hi[3]
+        elif case == "lower-bounds":
+            theta[[1, 4]] = lo[1], lo[4]
+        elif case == "narrow-box":   # no step of FD_STEP fits: go to the farther bound
+            lo[2], hi[2] = theta[2] - 1e-9, theta[2] + 4e-9
+            lo[5], hi[5] = theta[5] - 4e-9, theta[5] + 1e-9
+        else:   # FD_STEP is lost in the rounding of x ~ 1e9: a relative step
+            # instead, which x + h rounds, so the quotient's dx is not h
+            lo, hi = search_box(3, 1e10)
+            theta[3:] = 1234567890.123, -1000123456.789, 987654321.0987
+        grad, jac = search_jacobians(theta, lo, hi)
+        for f, ours in ((kernel_of, grad), (constraints_of, jac)):
+            theirs = approx_derivative(f, theta, method="2-point", abs_step=FD_STEP,
+                                       bounds=(lo, hi))
+            assert np.array_equal(ours, theirs)
 
 
 class TestTracerNames:

@@ -51,6 +51,9 @@ INVOCATIONS = [
     (["nogo", "--pulse", "corpse", "--grid", "256", *_EXP, "--out", "out"], {}),
     (["design", *_EXP, "--segments", "4", "--budget", "40", "--restarts", "1",
       "--out", "out"], {}),
+    # the search at the design benchmark's size, at its default seed 0
+    (["design", *_EXP, "--segments", "5", "--budget", "2000", "--restarts", "3",
+      "--out", "out"], {}),
     (["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--steps", "8",
       "--realizations", "9000", "--seed", "2", "--out", "out"], {}),
     (["noise-validate", "--model", "exponential", "--gamma", "1.0", "--eta0", "0.5",

@@ -12,14 +12,18 @@ of worker count or scheduling.
 
 One draw loop, `_draws`, owns the chunk schedule of every noise block: the
 chunk sizes, their order and their streams.  A cell's full chunks come in
-groups of min(workers, full chunks).  Worker threads draw a group's blocks
-into one (group, n_steps, chunk) buffer (the Philox fill and the Gaussian
-matmul release the GIL); the calling thread then evolves the group as one
-(n_steps, group, chunk) block.  The step loop thus runs once per group, in
-one thread: run on several threads, its many small ufunc calls hand the GIL
-back and forth and run slower than one after the other.  The remainder comes
-last, as a short group of one narrower chunk drawn into the head of the same
-buffer.  `noise_statistics`, behind `noise-validate`, sums the same blocks.
+groups of min(workers, full chunks), each chunk a range of its group's
+columns; the remainder chunk takes the columns after the last group's, so a
+cell costs one pass of the step loop per group, however few realizations
+are left over.  A group's noise flows in row tiles of `TILE_ROWS` steps:
+worker threads draw tile t + 1 (the Philox fill and the Gaussian matmul
+release the GIL), each chunk continuing its own stream from where the last
+tile left it, while the calling thread evolves the rows of tile t.  So a
+cell holds two tiles of noise, whatever its step count, and the step loop
+runs in one thread: run on several threads, its many small ufunc calls hand
+the GIL back and forth and run slower than one after the other.
+`noise_statistics`, behind `noise-validate`, sums the same groups, drawn as
+one tile of every row.
 
 One sweep, `_sweep`, walks the cells of a `ScalingExperimentConfig` and
 yields each as the one cell record, `CellStats`: `run_scaling` fits each
@@ -38,11 +42,13 @@ prefactor CSV and the `.dat` files, and one JSON formatter, `json_text`, for
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -52,7 +58,7 @@ from .errors import InsufficientPoints
 from .magnus import NoGoReport, evaluate_i32
 from .metrics import MonteCarloEstimate, accumulate_values, ensemble_frobenius
 from .noise import (AutocorrelationModel, EXPONENTIAL, GAUSSIAN, NoiseSampler,
-                    _require_dense, build_sampler)
+                    StreamCursor, _require_dense, build_sampler)
 from .propagator import evolve_ensemble
 from .pulses import (PiecewiseConstantPulse, PulseCatalog, _require_first_order,
                      _require_steps, build_time_grid, load_catalog)
@@ -65,6 +71,11 @@ MIN_FIT_POINTS = 3
 
 #: realizations per chunk; chunk c of cell k draws from RNG stream (k, c)
 DEFAULT_CHUNK = 2**12
+
+#: rows per noise tile.  A multiple of 16, so that every Gaussian tile
+#: product starts on OpenBLAS's row unroll and equals the whole-block product
+#: bit for bit; a one-row tile would go through gemv and round differently.
+TILE_ROWS = 32
 
 DEFAULT_FIT_WINDOWS = {
     GAUSSIAN: (1e-3, 1e-1),
@@ -301,30 +312,71 @@ def fit_exponent(points: Sequence[tuple[float, float, float]],
 _CELL_KEYS = ("df2", "partial_x", "partial_y", "partial_z")
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """A group's noise as a row source of shape (n_steps, width): iterating it
+    yields row i of every realization, one tile of rows after another."""
+
+    shape: tuple[int, int]
+    tiles: Iterator[np.ndarray]
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return itertools.chain.from_iterable(self.tiles)
+
+
 def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: int,
-           stream: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """`realizations` draws of `sampler` as (n_steps, count, width) blocks.
+           stream: tuple[int, ...], tile_rows: int = TILE_ROWS) -> Iterator[_Rows]:
+    """`realizations` draws of `sampler`, one `_Rows` per group of chunks.
 
     Chunk c holds `chunk_size` realizations from stream (*stream, c).  The
-    full chunks come in groups of min(workers, full chunks), drawn by that
-    many threads; the remainder comes last, as a group of one narrower chunk.
-    Every group is drawn into the C-contiguous head of one buffer, so a
-    yielded block is overwritten by the next one.
+    full chunks come in groups of min(workers, full chunks), each chunk a
+    range of its group's columns, and the remainder, from stream
+    (*stream, full chunks), takes the columns after the last group's.  A group
+    flows in tiles of `tile_rows` rows: one thread per full chunk of a group
+    draws tile t + 1, each chunk continuing its own stream, while the caller
+    reads tile t.  So two tiles are held, not the whole block, and a tile read
+    is overwritten two tiles later.  Close the generator to stop its threads
+    early.
     """
     n_steps = sampler.grid.n_steps
     full, rest = divmod(realizations, chunk_size)
     group = max(1, min(workers, full))
-    groups = [(c0, min(group, full - c0), chunk_size) for c0 in range(0, full, group)]
+    # each group's chunks as (stream index, first column, width)
+    groups = [[(c, (c - c0) * chunk_size, chunk_size) for c in range(c0, min(c0 + group, full))]
+              for c0 in range(0, full, group)] or [[]]
     if rest:
-        groups.append((full, 1, rest))
-    buf = np.empty(group * n_steps * min(chunk_size, realizations))
+        groups[-1].append((full, len(groups[-1]) * chunk_size, rest))
+    widths = [sum(w for *_, w in chunks) for chunks in groups]
+    tile_rows = min(tile_rows, n_steps)
+    n_tiles = -(-n_steps // tile_rows)
+    ring = np.empty((min(2, n_tiles), tile_rows * max(widths)))
+
+    def tiles(pool, chunks, width):
+        cursors = [StreamCursor() for _ in chunks]
+
+        def draw(t):
+            rows = min(tile_rows, n_steps - t * tile_rows)
+            tile = ring[t % 2, :rows * width].reshape(rows, width)
+            return tile, [pool.submit(sampler.sample_block, w, (*stream, c),
+                                      tile[:, col:col + w], rows, cursor)
+                          for (c, col, w), cursor in zip(chunks, cursors)]
+
+        ahead = draw(0)
+        for t in range(n_tiles):
+            tile, futures = ahead
+            for f in futures:
+                f.result()          # a failed draw raises here
+            if t + 1 < n_tiles:
+                ahead = draw(t + 1)
+            yield tile
+
     with ThreadPoolExecutor(max_workers=group) as pool:
-        for c0, count, width in groups:
-            block = buf[:count * n_steps * width].reshape(count, n_steps, width)
-            # list() reads every result, so a failed draw raises here
-            list(pool.map(lambda j: sampler.sample_block(
-                width, stream=(*stream, c0 + j), out=block[j]), range(count)))
-            yield block.transpose(1, 0, 2)
+        for chunks, width in zip(groups, widths):
+            yield _Rows((n_steps, width), tiles(pool, chunks, width))
 
 
 def noise_statistics(sampler: NoiseSampler, realizations: int) -> dict:
@@ -332,19 +384,28 @@ def noise_statistics(sampler: NoiseSampler, realizations: int) -> dict:
     covariance of `realizations` draws of `sampler` from the model's.
 
     The deviations from the mean eta0, whose covariance is the target, are
-    summed over the blocks of `_draws` (chunk c from stream (c,)); both are
-    scaled by the power of two 2^-e near 1/g0, exactly, so that squaring the
-    covariance can neither overflow nor underflow.
+    summed chunk by chunk over the groups of `_draws` (chunk c from stream
+    (c,)), each drawn as one tile of every row, since a covariance needs all
+    of a realization's rows at once.  Both are scaled by the power of two
+    2^-e near 1/g0, exactly, so that squaring the covariance can neither
+    overflow nor underflow.
     """
     if realizations < 2:
         raise ValueError("need at least 2 realizations")
     model, n, m = sampler.model, sampler.grid.n_steps, realizations
     e = math.frexp(model.g0)[1]
     sums, products = np.zeros(n), np.zeros((n, n))
-    for block in _draws(sampler, m, DEFAULT_CHUNK, 1, ()):
-        block = np.ldexp(block.reshape(n, -1) - model.eta0, -e)
-        sums += block.sum(axis=1)
-        products += block @ block.T
+    with closing(_draws(sampler, m, DEFAULT_CHUNK, 1, (), tile_rows=n)) as groups:
+        for rows in groups:
+            (tile,) = rows.tiles
+            # chunk by chunk, as the remainder's columns follow the last
+            # chunk's, and in place: the tile is read once
+            for c0 in range(0, tile.shape[1], DEFAULT_CHUNK):
+                block = tile[:, c0:c0 + DEFAULT_CHUNK]
+                np.ldexp(np.subtract(block, model.eta0, out=block), -e, out=block)
+                sums += block.sum(axis=1)
+                products += block @ block.T
+    del tile, block     # the draw ring, freed before the N x N arithmetic
     target = np.ldexp(sampler.covariance, -2 * e)
     se_cov = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / m)
     return {"max_cov_sigma": float(np.abs((products / m - target) / se_cov).max()),
@@ -357,11 +418,13 @@ def _run_cell(pulse: PiecewiseConstantPulse, sampler: NoiseSampler, cell_index: 
               ) -> dict[str, MonteCarloEstimate]:
     """Evolve, reduce and accumulate the realizations of one cell.
 
-    The blocks come from `_draws` on stream (cell_index,), and the calling
-    thread evolves each group on the sampler's grid in one pass.
+    The groups come from `_draws` on stream (cell_index,), and the calling
+    thread evolves each on the sampler's grid in one pass over its rows.
     """
-    parts = [ensemble_frobenius(*evolve_ensemble(pulse, sampler.grid, eta))
-             for eta in _draws(sampler, realizations, chunk_size, workers, (cell_index,))]
+    with closing(_draws(sampler, realizations, chunk_size, workers,
+                        (cell_index,))) as groups:
+        parts = [ensemble_frobenius(*evolve_ensemble(pulse, sampler.grid, rows))
+                 for rows in groups]
     return {k: accumulate_values(np.concatenate([p[k].ravel() for p in parts]))
             for k in _CELL_KEYS}
 

@@ -35,9 +35,15 @@ EXPONENTIAL = "exponential"
 EPS_CLIP = 1e-10
 
 #: Largest grid N accepted where cost grows like N^2: the Gaussian sampler's
-#: N x N arrays (512 MB each at this size), the N x chunk noise block and
-#: verify_nogo's O(N^2)-time identity residual.
+#: N x N arrays (512 MB each at this size) and verify_nogo's O(N^2)-time
+#: identity residual.  A sweep's noise is drawn in row tiles whose height does
+#: not grow with N, so the limit bounds no noise block there.
 MAX_DENSE_N = 8192
+
+
+#: rows of normals drawn at a time for a strided `sample_block` output, such
+#: as a chunk's columns of a row tile: a small staging block, not a third tile
+_FILL_ROWS = 8
 
 
 def _require_dense(n_steps: int) -> None:
@@ -222,35 +228,71 @@ class NoiseSampler:
     def transform(self) -> np.ndarray:
         """L with L L^T = G: N x k for the Gaussian kind (set at construction),
         the recursion applied to I for the exponential kind."""
-        return self._markov(np.eye(self.grid.n_steps))
+        return self._markov(np.eye(self.grid.n_steps), 0, None)
 
-    def _markov(self, z: np.ndarray) -> np.ndarray:
-        """L z for the exponential kind, in place, one row per step."""
-        z *= self._kick[:, None]
-        for i, a in enumerate(self._decay, start=1):
+    def _markov(self, z: np.ndarray, start: int, carry: np.ndarray | None) -> np.ndarray:
+        """L z for the exponential kind, in place, one row per step.  z holds
+        rows start, start + 1, ... of a draw, and `carry` its row start - 1 as
+        the recursion left it, before any offset."""
+        z *= self._kick[start:start + len(z), None]
+        if start:
+            z[0] += self._decay[start - 1] * carry
+        for i, a in enumerate(self._decay[start:start + len(z) - 1].tolist(), start=1):
             z[i] += a * z[i - 1]
         return z
 
     def sample_block(self, count: int, stream: tuple[int, ...] = (),
-                     out: np.ndarray | None = None) -> np.ndarray:
-        """Draw `count` realizations at once; shape (n_steps, count).
+                     out: np.ndarray | None = None, rows: int | None = None,
+                     cursor: StreamCursor | None = None) -> np.ndarray:
+        """Draw `count` realizations at once; shape (rows, count), all n_steps
+        rows by default.
 
         A given (seed, stream) pair always yields the same block, so chunked
         parallel sampling reproduces bit-identically in any schedule.  With
-        `out` (C-contiguous, that shape) the block is written there and
-        returned; the Philox fill and the Gaussian matmul release the GIL.
+        `out` (that shape, possibly a strided view) the block is written there
+        and returned; the Philox fill and the Gaussian matmul release the GIL.
         The Gaussian kind draws a (k, count) block of normals for its N x k
         transform; the exponential kind draws (n_steps, count).
+
+        A chunk may be drawn in row tiles: pass one `StreamCursor()` with every
+        call for it, and each call draws the `rows` rows after the last call's,
+        continuing the same stream, so the tiles equal one whole-block draw.
+        The cursor holds the generator, the next row and what the rows after it
+        need: the Gaussian kind's normals, the exponential recursion's last row.
         """
-        shape = (self.grid.n_steps, count)
-        gen = _stream_generator(self.seed, *stream)
+        cur = StreamCursor() if cursor is None else cursor
+        if cur.gen is None:
+            cur.gen = _stream_generator(self.seed, *stream)
+        start = cur.row
+        stop = self.grid.n_steps if rows is None else start + rows
+        cur.row = stop
         if self.model.kind == EXPONENTIAL:
-            eta = self._markov(gen.standard_normal(shape, out=out))
+            eta = np.empty((stop - start, count)) if out is None else out
+            if eta.flags.c_contiguous:
+                cur.gen.standard_normal(eta.shape, out=eta)
+            else:
+                # a chunk's columns of a row tile: the Philox fill needs
+                # contiguous memory, so the normals pass through a small block
+                for r in range(0, len(eta), _FILL_ROWS):
+                    eta[r:r + _FILL_ROWS] = cur.gen.standard_normal(
+                        eta[r:r + _FILL_ROWS].shape)
+            self._markov(eta, start, cur.carry)
+            cur.carry = eta[-1].copy()
         else:
-            z = gen.standard_normal((self.transform.shape[1], count))
-            eta = np.matmul(self.transform, z, out=out)
+            if cur.carry is None:
+                cur.carry = cur.gen.standard_normal((self.transform.shape[1], count))
+            eta = np.matmul(self.transform[start:stop], cur.carry, out=out)
         eta += self.model.eta0
         return eta
+
+
+@dataclass
+class StreamCursor:
+    """Where a chunk's draw stands between the row tiles of `sample_block`."""
+
+    gen: np.random.Generator | None = None
+    row: int = 0
+    carry: np.ndarray | None = None
 
 
 def build_sampler(model: AutocorrelationModel, grid: TimeGrid, seed: int) -> NoiseSampler:

@@ -82,7 +82,9 @@ def evolve_ensemble(pulse: PiecewiseConstantPulse, grid: TimeGrid,
 
     ``eta_block`` has shape (n_steps, *batch), e.g. (n_steps, m) or
     (n_steps, C, m): row i holds the step-i noise values of every
-    realization.  Returns the quaternion components (w, x, y, z) of U_tot per
+    realization.  Its rows are read once, in order, so any source with that
+    ``shape`` whose iteration yields the rows serves, such as the row tiles
+    of ``harness._draws`` as they are drawn.  Returns the quaternion components (w, x, y, z) of U_tot per
     realization, each of shape ``batch``, with U = w 1 - i (x sx + y sy + z sz):
     (Re alpha, Re delta, Im delta, -Im alpha) of its Cayley-Klein parameters.
     A realization's result depends on its own column alone, so a

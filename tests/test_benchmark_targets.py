@@ -40,7 +40,8 @@ def test_benchmark_trace_targets_exist():
 
 
 def test_traced_sweep_spans_fire():
-    # 6 cells of 2 full chunks (one group of 2) and a 37-realization remainder
+    # 6 cells of 2 full chunks and a 37-realization remainder, one group of
+    # three chunks drawn in two row tiles of 32 steps each
     workloads, Tracer = _perfbench()
     tracer = Tracer()
     config = ScalingExperimentConfig(
@@ -50,8 +51,8 @@ def test_traced_sweep_spans_fire():
     with tracer.patched(workloads.trace_targets(tracer)):
         harness.run_scaling(config)
     calls = Counter(s.name for s in tracer.spans)
-    expected = {"noise.sample_block": 18, "propagator.evolve_ensemble": 12,
-                "metrics.ensemble_frobenius": 12, "metrics.accumulate_values": 24,
+    expected = {"noise.sample_block": 36, "propagator.evolve_ensemble": 6,
+                "metrics.ensemble_frobenius": 6, "metrics.accumulate_values": 24,
                 "noise.build_sampler": 6, "pulses.build_time_grid": 6,
                 "harness.run_scaling": 1}
     assert {name: calls[name] for name in expected} == expected

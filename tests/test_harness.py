@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pulselab import (AutocorrelationModel, InsufficientPoints, NotFirstOrder,
-                      ScalingExperimentConfig, build_sampler, build_time_grid,
-                      evaluate_i32, fit_exponent, harness, load_catalog,
-                      run_prefactor_check, run_scaling, verify_nogo)
+from pulselab import (AutocorrelationModel, GridMismatch, InsufficientPoints,
+                      NoiseSampler, NotFirstOrder, ScalingExperimentConfig, TimeGrid,
+                      build_sampler, build_time_grid, evaluate_i32, evolve_ensemble,
+                      fit_exponent, harness, load_catalog, run_prefactor_check,
+                      run_scaling, verify_nogo)
 from reference import weighted_fit
 
 EXP = AutocorrelationModel("exponential", gamma=0.01)
@@ -165,7 +167,8 @@ class TestRunScaling:
                 assert r.csv_text() == runs[0].csv_text()
 
     def test_workers_above_full_chunks(self, monkeypatch):
-        # 8 workers, 2 full chunks: one buffer of 2 blocks and 2 threads at most
+        # 8 workers, 2 full chunks: 2 threads at most, and two row tiles of the
+        # group in flight, less than one chunk's whole block
         n_steps, chunk = 256, 1024
         pulse = load_catalog()["RECT"].for_inverse_amplitude(1e-2)
         grid = build_time_grid(pulse, n_steps)
@@ -186,9 +189,100 @@ class TestRunScaling:
         finally:
             tracemalloc.stop()
         assert pools == [2]
-        assert 2 * block_bytes <= peak < 3 * block_bytes
+        assert peak < block_bytes
         assert est["df2"] == harness._run_cell(pulse, sampler, 0, 2 * chunk + 5,
                                                chunk, 1)["df2"]
+
+    @pytest.mark.parametrize("realizations, workers, groups", [
+        (4 * 256 + 1, 1, 4), (4 * 256 + 1, 2, 2), (4 * 256 + 1, 3, 2),
+        (4 * 256 + 1, 8, 1), (2 * 256, 2, 1), (100, 2, 1)])
+    def test_remainder_is_evolved_with_the_last_group(self, monkeypatch, realizations,
+                                                      workers, groups):
+        # one kernel call per group of full chunks, at least one; the
+        # remainder's columns ride in the last group
+        pulse = load_catalog()["CORPSE"].for_inverse_amplitude(1e-2)
+        sampler = build_sampler(EXP, build_time_grid(pulse, 40), 3)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].shape)
+            return evolve_ensemble(*args)
+
+        monkeypatch.setattr(harness, "evolve_ensemble", counted)
+        est = harness._run_cell(pulse, sampler, 0, realizations, 256, workers)
+        assert len(calls) == groups
+        assert sum(width for _, width in calls) == realizations
+        assert est["df2"].realizations == realizations
+
+    @pytest.mark.parametrize("model", [EXP, GAUSS], ids=["exponential", "gaussian"])
+    def test_cell_memory_does_not_grow_with_steps(self, model):
+        # the noise flows in row tiles: 8 times the steps, about the same peak
+        pulse = load_catalog()["CORPSE"].for_inverse_amplitude(1e-2)
+        peaks = []
+        for n_steps in (256, 2048):
+            sampler = build_sampler(model, build_time_grid(pulse, n_steps), 3)
+            tracemalloc.start()
+            try:
+                harness._run_cell(pulse, sampler, 0, 4096, 2048, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_failed_draw_propagates_and_stops_the_draw_threads(self, monkeypatch):
+        # the third row tile of every chunk raises, while the other threads
+        # still draw theirs; threads hand over the GIL every microsecond
+        class DrawFailed(Exception):
+            pass
+
+        original = NoiseSampler.sample_block
+
+        def failing(self, count, stream=(), out=None, rows=None, cursor=None):
+            if cursor is not None and cursor.row == 2 * harness.TILE_ROWS:
+                raise DrawFailed(stream)
+            return original(self, count, stream, out, rows, cursor)
+
+        monkeypatch.setattr(NoiseSampler, "sample_block", failing)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(DrawFailed) as info:
+                run_scaling(small_config(workers=2, realizations=2 * 1024 + 37))
+        finally:
+            sys.setswitchinterval(interval)
+        assert type(info.value) is DrawFailed
+        assert threading.active_count() == threads
+
+    def test_kernel_failure_leaves_no_draw_thread(self):
+        # a grid that misses CORPSE's switching instants: the kernel raises
+        # before it reads a row
+        pulse = load_catalog()["CORPSE"].for_inverse_amplitude(1e-2)
+        sampler = build_sampler(EXP, TimeGrid.uniform(pulse.tau_p, 7), 3)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(GridMismatch):
+                harness._run_cell(pulse, sampler, 0, 2 * 256 + 5, 256, 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+    def test_noise_statistics_memory_with_a_remainder(self):
+        # one full chunk and a remainder one short of another: a group under
+        # two chunks wide, summed in place, and freed before the N x N sums
+        n_steps = 256
+        sampler = build_sampler(EXP, TimeGrid.uniform(1.0, n_steps), 3)
+        block_bytes = 8 * n_steps * harness.DEFAULT_CHUNK
+        tracemalloc.start()
+        try:
+            stats = harness.noise_statistics(sampler, 2 * harness.DEFAULT_CHUNK - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats["realizations"] == 2 * harness.DEFAULT_CHUNK - 1
+        assert peak < 2.5 * block_bytes
 
     def test_fit_records_excluded_points(self):
         res = run_scaling(small_config(inv_v_grid=(1e-3, 3e-3, 1e-2, 3e-2, 0.1)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulselab import build_time_grid, evolve_ensemble
+from pulselab import build_time_grid, evolve_ensemble, harness
 from pulselab.propagator import P_SERIES_MAX
 from reference import evolve_quaternions
 
@@ -63,13 +63,13 @@ class TestColumnAlone:
 
     @pytest.mark.parametrize("width", [1, 2, 5, 17])
     def test_chunk_group_column_equals_its_column_alone(self, catalog, width):
-        # a (n_steps, C, m) group as harness._draws yields it: a transposed
-        # view of C contiguous chunks
+        # a group as harness._draws yields it: three chunks and a one-column
+        # remainder side by side, read row by row from tiles of uneven height
         p = catalog["SYM2ND"].with_duration(0.5)
         grid = build_time_grid(p, 64)
-        chunks = 0.5 * np.random.default_rng(width).normal(size=(3, grid.n_steps, width))
-        group = evolve_ensemble(p, grid, chunks.transpose(1, 0, 2))
-        for c in range(3):
-            for k in range(width):
-                alone = evolve_ensemble(p, grid, chunks[c][:, k:k + 1])
-                assert all(np.array_equal(a[0], b[c, k]) for a, b in zip(alone, group))
+        block = 0.5 * np.random.default_rng(width).normal(size=(grid.n_steps, 3 * width + 1))
+        group = evolve_ensemble(p, grid, harness._Rows(block.shape,
+                                                       iter(np.array_split(block, 3))))
+        for k in range(block.shape[1]):
+            alone = evolve_ensemble(p, grid, block[:, k:k + 1])
+            assert all(np.array_equal(a[0], b[k]) for a, b in zip(alone, group))

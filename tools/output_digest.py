@@ -45,6 +45,13 @@ INVOCATIONS = [
       "--fit-min", "1e-4", "--fit-max", "1e4", "--out", "out"], {}),
     (["scaling", *_EXP, "--pulses", "rect,corpse", "--inv-v", "1e-3,3e-3,1e-2",
       "--realizations", "2", "--steps", "16", "--out", "out"], {}),
+    # two full chunks and a 37-realization remainder evolved with them, a
+    # nonzero offset over the row tiles' recursion, and a step count that is
+    # no multiple of the tile height
+    (["scaling", *_EXP, "--eta0", "0.3", "--pulses", "rect,corpse", "--inv-v-max", "3e-2",
+      "--points", "3",
+      "--realizations", "8229", "--steps", "100", "--workers", "2", "--seed", "4",
+      "--out", "out"], {}),
     (["prefactor", *_EXP, "--realizations", "2000", "--steps", "64", "--seed", "1",
       "--out", "out"], {}),
     (["nogo", "--pulse", "scorpse", "--grid", "256", "--out", "out"], {}),

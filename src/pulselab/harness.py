@@ -74,7 +74,8 @@ DEFAULT_CHUNK = 2**12
 
 #: rows per noise tile.  A multiple of 16, so that every Gaussian tile
 #: product starts on OpenBLAS's row unroll and equals the whole-block product
-#: bit for bit; a one-row tile would go through gemv and round differently.
+#: bit for bit.  A one-row product goes through gemv and rounds differently,
+#: so `_draws` gives a one-row last tile to the tile before it.
 TILE_ROWS = 32
 
 DEFAULT_FIT_WINDOWS = {
@@ -336,7 +337,8 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
     full chunks come in groups of min(workers, full chunks), each chunk a
     range of its group's columns, and the remainder, from stream
     (*stream, full chunks), takes the columns after the last group's.  A group
-    flows in tiles of `tile_rows` rows: one thread per full chunk of a group
+    flows in tiles of `tile_rows` rows, the last one shorter, or one row longer
+    where it would hold a single row: one thread per full chunk of a group
     draws tile t + 1, each chunk continuing its own stream, while the caller
     reads tile t.  So two tiles are held, not the whole block, and a tile read
     is overwritten two tiles later.  Close the generator to stop its threads
@@ -351,18 +353,21 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
     if rest:
         groups[-1].append((full, len(groups[-1]) * chunk_size, rest))
     widths = [sum(w for *_, w in chunks) for chunks in groups]
-    tile_rows = min(tile_rows, n_steps)
-    n_tiles = -(-n_steps // tile_rows)
-    ring = np.empty((min(2, n_tiles), tile_rows * max(widths)))
+    starts = list(range(0, n_steps, tile_rows))
+    if len(starts) > 1 and n_steps - starts[-1] == 1:
+        starts.pop()        # a one-row last tile joins the one before it
+    bounds = list(zip(starts, starts[1:] + [n_steps]))
+    n_tiles = len(bounds)
+    ring = np.empty((min(2, n_tiles), max(b - a for a, b in bounds) * max(widths)))
 
     def tiles(pool, chunks, width):
         cursors = [StreamCursor() for _ in chunks]
 
         def draw(t):
-            rows = min(tile_rows, n_steps - t * tile_rows)
-            tile = ring[t % 2, :rows * width].reshape(rows, width)
+            a, b = bounds[t]
+            tile = ring[t % 2, :(b - a) * width].reshape(b - a, width)
             return tile, [pool.submit(sampler.sample_block, w, (*stream, c),
-                                      tile[:, col:col + w], rows, cursor)
+                                      out=tile[:, col:col + w], cursor=cursor)
                           for (c, col, w), cursor in zip(chunks, cursors)]
 
         ahead = draw(0)

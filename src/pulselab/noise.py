@@ -41,8 +41,9 @@ EPS_CLIP = 1e-10
 MAX_DENSE_N = 8192
 
 
-#: rows of normals drawn at a time for a strided `sample_block` output, such
-#: as a chunk's columns of a row tile: a small staging block, not a third tile
+#: rows of normals the exponential kind's `sample_block` draws at a time.  Its
+#: output may be strided, such as a chunk's columns of a row tile, where the
+#: Philox fill cannot write, so the normals pass through this small block
 _FILL_ROWS = 8
 
 
@@ -242,10 +243,10 @@ class NoiseSampler:
         return z
 
     def sample_block(self, count: int, stream: tuple[int, ...] = (),
-                     out: np.ndarray | None = None, rows: int | None = None,
+                     out: np.ndarray | None = None,
                      cursor: StreamCursor | None = None) -> np.ndarray:
-        """Draw `count` realizations at once; shape (rows, count), all n_steps
-        rows by default.
+        """Draw `count` realizations at once; shape (rows, count), with the
+        rows of `out` if given and else every row the cursor has not drawn.
 
         A given (seed, stream) pair always yields the same block, so chunked
         parallel sampling reproduces bit-identically in any schedule.  With
@@ -255,7 +256,7 @@ class NoiseSampler:
         transform; the exponential kind draws (n_steps, count).
 
         A chunk may be drawn in row tiles: pass one `StreamCursor()` with every
-        call for it, and each call draws the `rows` rows after the last call's,
+        call for it, and each call draws the rows of `out` after the last call's,
         continuing the same stream, so the tiles equal one whole-block draw.
         The cursor holds the generator, the next row and what the rows after it
         need: the Gaussian kind's normals, the exponential recursion's last row.
@@ -264,18 +265,12 @@ class NoiseSampler:
         if cur.gen is None:
             cur.gen = _stream_generator(self.seed, *stream)
         start = cur.row
-        stop = self.grid.n_steps if rows is None else start + rows
+        stop = self.grid.n_steps if out is None else start + len(out)
         cur.row = stop
         if self.model.kind == EXPONENTIAL:
             eta = np.empty((stop - start, count)) if out is None else out
-            if eta.flags.c_contiguous:
-                cur.gen.standard_normal(eta.shape, out=eta)
-            else:
-                # a chunk's columns of a row tile: the Philox fill needs
-                # contiguous memory, so the normals pass through a small block
-                for r in range(0, len(eta), _FILL_ROWS):
-                    eta[r:r + _FILL_ROWS] = cur.gen.standard_normal(
-                        eta[r:r + _FILL_ROWS].shape)
+            for r in range(0, len(eta), _FILL_ROWS):
+                eta[r:r + _FILL_ROWS] = cur.gen.standard_normal(eta[r:r + _FILL_ROWS].shape)
             self._markov(eta, start, cur.carry)
             cur.carry = eta[-1].copy()
         else:

@@ -299,7 +299,7 @@ class TestSampling:
         for start in range(0, 100, 32):
             rows = min(32, 100 - start)
             wide = np.full((rows, 50), np.nan)
-            tiles.append(sampler.sample_block(37, (2, 5), wide[:, 5:42], rows, cursor))
+            tiles.append(sampler.sample_block(37, (2, 5), wide[:, 5:42], cursor))
             assert np.isnan(wide[:, :5]).all() and np.isnan(wide[:, 42:]).all()
         assert cursor.row == 100
         assert np.array_equal(np.concatenate(tiles), sampler.sample_block(37, stream=(2, 5)))

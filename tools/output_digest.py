@@ -52,6 +52,11 @@ INVOCATIONS = [
       "--points", "3",
       "--realizations", "8229", "--steps", "100", "--workers", "2", "--seed", "4",
       "--out", "out"], {}),
+    # the Gaussian kind one step past a tile: its last row joins the tile
+    # before it, as a one-row product would round differently
+    (["scaling", "--model", "gaussian", "--gamma", "0.1", "--pulses", "rect,sym2nd",
+      "--points", "3", "--realizations", "4133", "--steps", "33", "--workers", "2",
+      "--seed", "6", "--out", "out"], {}),
     (["prefactor", *_EXP, "--realizations", "2000", "--steps", "64", "--seed", "1",
       "--out", "out"], {}),
     (["nogo", "--pulse", "scorpse", "--grid", "256", "--out", "out"], {}),

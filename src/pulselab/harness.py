@@ -10,8 +10,8 @@ are drawn in fixed-size chunks whose RNG streams derive from (seed, cell,
 chunk), so results are bit-reproducible for a given configuration regardless
 of worker count or scheduling.
 
-One draw loop, `_draws`, owns the chunk schedule of every noise block: the
-chunk sizes, their order and their streams.  A cell's full chunks come in
+One draw loop, `_draws`, owns the chunk schedule of a sweep cell's noise:
+the chunk sizes, their order and their streams.  A cell's full chunks come in
 groups of min(workers, full chunks), each chunk a range of its group's
 columns; the remainder chunk takes the columns after the last group's, so a
 cell costs one pass of the step loop per group, however few realizations
@@ -22,8 +22,9 @@ tile left it, while the calling thread evolves the rows of tile t.  So a
 cell holds two tiles of noise, whatever its step count, and the step loop
 runs in one thread: run on several threads, its many small ufunc calls hand
 the GIL back and forth and run slower than one after the other.
-`noise_statistics`, behind `noise-validate`, sums the same groups, drawn as
-one tile of every row.
+`noise_statistics`, behind `noise-validate`, needs every row of a
+realization at once for its covariance, so it draws chunk c whole from
+stream (c,) with `NoiseSampler.sample_block`, one chunk after the other.
 
 One sweep, `_sweep`, walks the cells of a `ScalingExperimentConfig` and
 yields each as the one cell record, `CellStats`: `run_scaling` fits each
@@ -330,14 +331,14 @@ class _Rows:
 
 
 def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: int,
-           stream: tuple[int, ...], tile_rows: int = TILE_ROWS) -> Iterator[_Rows]:
+           stream: tuple[int, ...]) -> Iterator[_Rows]:
     """`realizations` draws of `sampler`, one `_Rows` per group of chunks.
 
     Chunk c holds `chunk_size` realizations from stream (*stream, c).  The
     full chunks come in groups of min(workers, full chunks), each chunk a
     range of its group's columns, and the remainder, from stream
     (*stream, full chunks), takes the columns after the last group's.  A group
-    flows in tiles of `tile_rows` rows, the last one shorter, or one row longer
+    flows in tiles of `TILE_ROWS` rows, the last one shorter, or one row longer
     where it would hold a single row: one thread per full chunk of a group
     draws tile t + 1, each chunk continuing its own stream, while the caller
     reads tile t.  So two tiles are held, not the whole block, and a tile read
@@ -353,7 +354,7 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
     if rest:
         groups[-1].append((full, len(groups[-1]) * chunk_size, rest))
     widths = [sum(w for *_, w in chunks) for chunks in groups]
-    starts = list(range(0, n_steps, tile_rows))
+    starts = list(range(0, n_steps, TILE_ROWS))
     if len(starts) > 1 and n_steps - starts[-1] == 1:
         starts.pop()        # a one-row last tile joins the one before it
     bounds = list(zip(starts, starts[1:] + [n_steps]))
@@ -389,28 +390,25 @@ def noise_statistics(sampler: NoiseSampler, realizations: int) -> dict:
     covariance of `realizations` draws of `sampler` from the model's.
 
     The deviations from the mean eta0, whose covariance is the target, are
-    summed chunk by chunk over the groups of `_draws` (chunk c from stream
-    (c,)), each drawn as one tile of every row, since a covariance needs all
-    of a realization's rows at once.  Both are scaled by the power of two
-    2^-e near 1/g0, exactly, so that squaring the covariance can neither
-    overflow nor underflow.
+    summed chunk by chunk: chunk c holds `DEFAULT_CHUNK` realizations from
+    stream (c,), the last one fewer, and is drawn whole, since a covariance
+    needs all of a realization's rows at once.  It is centred and scaled in
+    place, summed and dropped before the next is drawn, so one chunk of
+    noise is held at a time.  Both sums are scaled by the power of two 2^-e
+    near 1/g0, exactly, so that squaring the covariance can neither overflow
+    nor underflow.
     """
     if realizations < 2:
         raise ValueError("need at least 2 realizations")
     model, n, m = sampler.model, sampler.grid.n_steps, realizations
     e = math.frexp(model.g0)[1]
     sums, products = np.zeros(n), np.zeros((n, n))
-    with closing(_draws(sampler, m, DEFAULT_CHUNK, 1, (), tile_rows=n)) as groups:
-        for rows in groups:
-            (tile,) = rows.tiles
-            # chunk by chunk, as the remainder's columns follow the last
-            # chunk's, and in place: the tile is read once
-            for c0 in range(0, tile.shape[1], DEFAULT_CHUNK):
-                block = tile[:, c0:c0 + DEFAULT_CHUNK]
-                np.ldexp(np.subtract(block, model.eta0, out=block), -e, out=block)
-                sums += block.sum(axis=1)
-                products += block @ block.T
-    del tile, block     # the draw ring, freed before the N x N arithmetic
+    for c, c0 in enumerate(range(0, m, DEFAULT_CHUNK)):
+        block = sampler.sample_block(min(DEFAULT_CHUNK, m - c0), stream=(c,))
+        np.ldexp(np.subtract(block, model.eta0, out=block), -e, out=block)
+        sums += block.sum(axis=1)
+        products += block @ block.T
+        del block
     target = np.ldexp(sampler.covariance, -2 * e)
     se_cov = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / m)
     return {"max_cov_sigma": float(np.abs((products / m - target) / se_cov).max()),
@@ -501,11 +499,11 @@ def run_prefactor_check(config: ScalingExperimentConfig,
                         catalog: Optional[PulseCatalog] = None) -> list[PrefactorRow]:
     """The cells of `config`'s sweep against the leading cubic law.
 
-    Every pulse must be first order (NotFirstOrder) and the model must have a
-    cusp (ValueError); both are checked before any cell is drawn.  With
-    S = C = 0 the leading term of mean DF^2 under exponential noise is
-    (4/3) I_3/2 = (4/3) a K tau_p^3, from the closed-form shape kernel K of
-    the pulse scaled to the cell's 1/v.
+    Every pulse must be first order (NotFirstOrder), the model must have a
+    cusp and every cell's prediction must be finite (ValueError); all three
+    are checked before any cell is drawn.  With S = C = 0 the leading term
+    of mean DF^2 under exponential noise is (4/3) I_3/2 = (4/3) a K tau_p^3,
+    from the closed-form shape kernel K of the pulse scaled to the cell's 1/v.
     """
     catalog = catalog or load_catalog()
     for name in config.pulses:
@@ -513,6 +511,16 @@ def run_prefactor_check(config: ScalingExperimentConfig,
     if config.model.cusp_coefficient == 0.0:
         raise ValueError("prefactor check requires a cusp: the exponential model "
                          "with gamma > 0")
-    return [PrefactorRow(cell, 4.0 / 3.0 * evaluate_i32(
-                catalog[cell.pulse].for_inverse_amplitude(cell.inv_v), config.model))
+    predicted = {}
+    for name, inv_v in itertools.product(config.pulses, config.inv_v_grid):
+        try:
+            df2 = 4.0 / 3.0 * evaluate_i32(catalog[name].for_inverse_amplitude(inv_v),
+                                           config.model)
+        except OverflowError:       # a float's tau_p**3 raises past 1.8e308
+            df2 = math.inf
+        if not math.isfinite(df2):
+            raise ValueError(f"the cubic law's mean DF^2 for {name} at 1/v = {inv_v!r} "
+                             "is not finite")
+        predicted[name, inv_v] = df2
+    return [PrefactorRow(cell, predicted[cell.pulse, cell.inv_v])
             for cell in _sweep(config, catalog)]

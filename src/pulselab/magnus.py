@@ -285,8 +285,9 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
         raise ValueError("I_3/2 vanishes identically for analytic models")
     if restarts < 1:
         raise ValueError("need at least 1 restart")
-    if budget < 1:
-        raise ValueError("need a budget of at least 1 iteration")
+    if not 1 <= budget <= np.iinfo(np.long).max:
+        # SLSQP takes its iteration limit as a C long
+        raise ValueError(f"need a budget of 1 to {np.iinfo(np.long).max} iterations")
     if not (0.0 < v_max_taup and math.isfinite(2.0 * v_max_taup)):
         # the random starts are drawn over the range 2 v_max_taup
         raise ValueError("v_max_taup must be positive, with 2 v_max_taup finite")

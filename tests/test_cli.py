@@ -490,6 +490,15 @@ class TestOtherSubcommands:
         ["design", "--model", "exponential", "--gamma", "0.01", "--seed", "-1"],
         ["noise-validate", "--model", "gaussian", "--gamma", "0.5", "--realizations", "100",
          "--seed", "-1"],
+        # the cubic law's tau_p**3 overflows a float past tau_p = 5.6e102, and
+        # a * K * tau_p^3 with a = g0^2 gamma past 1.8e308: refused before any cell
+        ["prefactor", "--model", "exponential", "--gamma", "0.01", "--inv-v", "1e103",
+         "--realizations", "10", "--steps", "8"],
+        ["prefactor", "--model", "exponential", "--g0", "1e150", "--gamma", "1e10",
+         "--realizations", "10", "--steps", "8"],
+        # SLSQP takes its iteration limit as a C long
+        ["design", "--model", "exponential", "--gamma", "0.01", "--segments", "3",
+         "--restarts", "1", "--budget", "9223372036854775808"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
@@ -513,7 +522,8 @@ class TestOtherSubcommands:
             "catalog-segments-not-a-list", "catalog-empty", "catalog-null-number",
             "scaling-malformed-catalog", "prefactor-malformed-catalog",
             "nogo-malformed-catalog", "scaling-negative-seed", "design-negative-seed",
-            "noise-validate-negative-seed"])
+            "noise-validate-negative-seed", "prefactor-overflowing-tau-cubed",
+            "prefactor-overflowing-cusp", "design-budget-above-c-long"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         args = [_written(arg, tmp_path) for arg in args]
         out = [] if args[0] == "catalog-validate" else ["--out", str(tmp_path)]

@@ -283,11 +283,12 @@ class TestRunScaling:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
 
-    def test_noise_statistics_memory_with_a_remainder(self):
-        # one full chunk and a remainder one short of another: a group under
-        # two chunks wide, summed in place, and freed before the N x N sums
+    @pytest.mark.parametrize("model", [EXP, GAUSS], ids=["exponential", "gaussian"])
+    def test_noise_statistics_memory_with_a_remainder(self, model):
+        # one full chunk and a remainder one short of another, each drawn
+        # whole, summed in place and dropped before the next: one chunk held
         n_steps = 256
-        sampler = build_sampler(EXP, TimeGrid.uniform(1.0, n_steps), 3)
+        sampler = build_sampler(model, TimeGrid.uniform(1.0, n_steps), 3)
         block_bytes = 8 * n_steps * harness.DEFAULT_CHUNK
         tracemalloc.start()
         try:
@@ -296,7 +297,17 @@ class TestRunScaling:
         finally:
             tracemalloc.stop()
         assert stats["realizations"] == 2 * harness.DEFAULT_CHUNK - 1
-        assert peak < 2.5 * block_bytes
+        assert peak < 1.5 * block_bytes
+
+    def test_noise_statistics_starts_no_thread(self, monkeypatch):
+        # the chunks are drawn one after the other on the calling thread
+        def no_pool(*args, **kwargs):
+            raise AssertionError("noise_statistics started a thread pool")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        sampler = build_sampler(EXP, TimeGrid.uniform(1.0, 16), 3)
+        stats = harness.noise_statistics(sampler, harness.DEFAULT_CHUNK + 3)
+        assert stats["realizations"] == harness.DEFAULT_CHUNK + 3
 
     def test_fit_records_excluded_points(self):
         res = run_scaling(small_config(inv_v_grid=(1e-3, 3e-3, 1e-2, 3e-2, 0.1)))
@@ -443,6 +454,24 @@ class TestPrefactorCheck:
         with pytest.raises(ValueError, match="^need at least 5 steps for SYM2ND$"):
             run_prefactor_check(prefactor_config(["CORPSE", "SYM2ND"], [1e-2], 100,
                                                  steps_per_pulse=3))
+
+    def test_overflowing_prediction_is_refused_before_any_cell(self, monkeypatch):
+        # the last 1/v's tau_p**3 overflows: refused before the first cell
+        calls, run_cell = [], harness._run_cell
+
+        def counted(*args):
+            calls.append(args[2])
+            return run_cell(*args)
+
+        monkeypatch.setattr(harness, "_run_cell", counted)
+        with pytest.raises(ValueError, match=r"1/v = 1e\+103 is not finite"):
+            run_prefactor_check(prefactor_config(["CORPSE"], [1e-2, 1e103], 10,
+                                                 steps_per_pulse=8))
+        assert calls == []
+        # the wrapper counts: a finite grid draws each of its cells
+        run_prefactor_check(prefactor_config(["CORPSE"], [1e-2, 1e101], 10,
+                                             steps_per_pulse=8))
+        assert calls == [0, 1]
 
     def test_first_order_rule_is_shared(self, catalog):
         # one rule and one exception type for the prefactor and no-go checks

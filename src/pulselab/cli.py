@@ -40,6 +40,10 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+#: most log-spaced 1/v values `scaling --points` asks for, refused before the
+#: grid is formed; each value is one cell per pulse
+MAX_POINTS = 1000
+
 #: the design search's defaults, which `--help` shows: read at import, so the
 #: help text does not depend on what `magnus.minimize_i32` is bound to later
 _SEARCH = inspect.signature(magnus.minimize_i32).parameters
@@ -96,7 +100,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--inv-v-max", dest="inv_v_max", type=float, default=1e-1,
                    help="largest 1/v of the range (default: %(default)s)")
     p.add_argument("--points", type=int, default=8,
-                   help="log-spaced 1/v count (default: %(default)s)")
+                   help=f"log-spaced 1/v count, at most {MAX_POINTS} (default: %(default)s)")
     p.add_argument("--realizations", type=int,
                    help=f"realizations per 1/v (default: {sweep.realizations})")
     p.add_argument("--steps", type=int, help=steps_help)
@@ -105,7 +109,9 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--fit-max", dest="fit_max", type=float,
                    help=f"upper end of the fit window (default: {window_end(1)})")
     p.add_argument("--workers", type=int,
-                   help=f"threads drawing a cell's chunks (default: {sweep.workers})")
+                   help="threads per cell, counting the one that evolves it, at most "
+                        f"{harness.MAX_WORKERS}; the others draw its chunks, at least "
+                        f"one (default: {sweep.workers})")
 
     p = sub.add_parser("prefactor", help="cubic-law prefactor comparison")
     add_shared(p, "--out --seed --catalog --model --gamma --g0 --eta0")
@@ -216,6 +222,8 @@ def _inv_v_grid(args: argparse.Namespace) -> tuple[float, ...]:
         return _inv_v_values(args.inv_v)
     if not 0 < args.inv_v_min < args.inv_v_max or args.points < 2:
         raise ValueError("invalid 1/v range")
+    if args.points > MAX_POINTS:
+        raise ValueError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
     return tuple(np.geomspace(args.inv_v_min, args.inv_v_max, args.points))
 
 

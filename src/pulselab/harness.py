@@ -15,13 +15,16 @@ the chunk sizes, their order and their streams.  A cell's full chunks come in
 groups of min(workers, full chunks), each chunk a range of its group's
 columns; the remainder chunk takes the columns after the last group's, so a
 cell costs one pass of the step loop per group, however few realizations
-are left over.  A group's noise flows in row tiles of `TILE_ROWS` steps:
-worker threads draw tile t + 1 (the Philox fill and the Gaussian matmul
-release the GIL), each chunk continuing its own stream from where the last
-tile left it, while the calling thread evolves the rows of tile t.  So a
-cell holds two tiles of noise, whatever its step count, and the step loop
-runs in one thread: run on several threads, its many small ufunc calls hand
-the GIL back and forth and run slower than one after the other.
+are left over.  A group's noise flows in row tiles of `TILE_ROWS` steps.
+The calling thread is one of the workers: it evolves the rows of tile t
+while max(1, workers - 1) draw threads draw tile t + 1 (the Philox fill,
+the Gaussian matmul and the exponential kick multiply release the GIL),
+each chunk continuing its own stream from where the last tile left it.  The
+exponential recursion, a loop of small ufunc calls over the rows, runs on
+the calling thread across the whole tile.  So a cell holds two tiles of
+noise, whatever its step count, and every loop of small ufunc calls runs in
+one thread: run on several threads, such calls hand the GIL back and forth
+and run slower than one after the other.
 `noise_statistics`, behind `noise-validate`, needs every row of a
 realization at once for its covariance, so it draws chunk c whole from
 stream (c,) with `NoiseSampler.sample_block`, one chunk after the other.
@@ -73,6 +76,9 @@ MIN_FIT_POINTS = 3
 #: realizations per chunk; chunk c of cell k draws from RNG stream (k, c)
 DEFAULT_CHUNK = 2**12
 
+#: most threads a cell may use; results do not depend on the count
+MAX_WORKERS = 64
+
 #: rows per noise tile.  A multiple of 16, so that every Gaussian tile
 #: product starts on OpenBLAS's row unroll and equals the whole-block product
 #: bit for bit.  A one-row product goes through gemv and rounds differently,
@@ -111,8 +117,8 @@ class ScalingExperimentConfig:
             raise ValueError("need at least 2 realizations")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be 1 to {MAX_WORKERS}")
         _require_dense(self.steps_per_pulse)
         lo, hi = self.window
         if not 0 < lo < hi:
@@ -339,15 +345,21 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
     range of its group's columns, and the remainder, from stream
     (*stream, full chunks), takes the columns after the last group's.  A group
     flows in tiles of `TILE_ROWS` rows, the last one shorter, or one row longer
-    where it would hold a single row: one thread per full chunk of a group
-    draws tile t + 1, each chunk continuing its own stream, while the caller
-    reads tile t.  So two tiles are held, not the whole block, and a tile read
-    is overwritten two tiles later.  Close the generator to stop its threads
-    early.
+    where it would hold a single row.  The caller, which evolves the rows, is
+    one of the workers: max(1, group - 1) draw threads draw tile t + 1, each
+    a fixed share of the group's chunks, every chunk continuing its own
+    stream, while the caller reads tile t.  So two tiles are held, not the
+    whole block, and a tile read is overwritten two tiles later.  The
+    exponential kind's draw threads write only the kicks, through one staging
+    block per thread; the caller runs the recursion and adds eta0 across the
+    whole tile before reading it, carrying its last row to the next tile, so
+    the draw threads make few calls that hold the GIL.  Close the generator
+    to stop its threads early.
     """
     n_steps = sampler.grid.n_steps
     full, rest = divmod(realizations, chunk_size)
     group = max(1, min(workers, full))
+    threads = max(1, group - 1)
     # each group's chunks as (stream index, first column, width)
     groups = [[(c, (c - c0) * chunk_size, chunk_size) for c in range(c0, min(c0 + group, full))]
               for c0 in range(0, full, group)] or [[]]
@@ -359,17 +371,26 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
         starts.pop()        # a one-row last tile joins the one before it
     bounds = list(zip(starts, starts[1:] + [n_steps]))
     n_tiles = len(bounds)
-    ring = np.empty((min(2, n_tiles), max(b - a for a, b in bounds) * max(widths)))
+    rows = max(b - a for a, b in bounds)
+    ring = np.empty((min(2, n_tiles), rows * max(widths)))
+    markov = sampler.model.kind == EXPONENTIAL
+    staging = (np.empty((threads, rows * min(chunk_size, realizations))) if markov
+               else [None] * threads)
+
+    def draw_share(tile, share, block):
+        for (c, col, w), cursor in share:
+            sampler.sample_block(w, (*stream, c), out=tile[:, col:col + w], cursor=cursor,
+                                 staging=block)
 
     def tiles(pool, chunks, width):
-        cursors = [StreamCursor() for _ in chunks]
+        jobs = [(chunk, StreamCursor()) for chunk in chunks]
+        carry = None
 
         def draw(t):
             a, b = bounds[t]
             tile = ring[t % 2, :(b - a) * width].reshape(b - a, width)
-            return tile, [pool.submit(sampler.sample_block, w, (*stream, c),
-                                      out=tile[:, col:col + w], cursor=cursor)
-                          for (c, col, w), cursor in zip(chunks, cursors)]
+            return tile, [pool.submit(draw_share, tile, jobs[i::threads], staging[i])
+                          for i in range(threads)]
 
         ahead = draw(0)
         for t in range(n_tiles):
@@ -378,9 +399,11 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
                 f.result()          # a failed draw raises here
             if t + 1 < n_tiles:
                 ahead = draw(t + 1)
+            if markov:
+                carry = sampler.finish_rows(tile, bounds[t][0], carry)
             yield tile
 
-    with ThreadPoolExecutor(max_workers=group) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         for chunks, width in zip(groups, widths):
             yield _Rows((n_steps, width), tiles(pool, chunks, width))
 

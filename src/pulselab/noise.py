@@ -41,12 +41,6 @@ EPS_CLIP = 1e-10
 MAX_DENSE_N = 8192
 
 
-#: rows of normals the exponential kind's `sample_block` draws at a time.  Its
-#: output may be strided, such as a chunk's columns of a row tile, where the
-#: Philox fill cannot write, so the normals pass through this small block
-_FILL_ROWS = 8
-
-
 def _require_dense(n_steps: int) -> None:
     """Refuse a grid of more than MAX_DENSE_N steps, before it is built."""
     if n_steps > MAX_DENSE_N:
@@ -228,23 +222,34 @@ class NoiseSampler:
     @cached_property
     def transform(self) -> np.ndarray:
         """L with L L^T = G: N x k for the Gaussian kind (set at construction),
-        the recursion applied to I for the exponential kind."""
-        return self._markov(np.eye(self.grid.n_steps), 0, None)
+        the recursion applied to diag(kick) for the exponential kind."""
+        return self._markov(np.diag(self._kick), 0, None)
 
     def _markov(self, z: np.ndarray, start: int, carry: np.ndarray | None) -> np.ndarray:
-        """L z for the exponential kind, in place, one row per step.  z holds
-        rows start, start + 1, ... of a draw, and `carry` its row start - 1 as
-        the recursion left it, before any offset."""
-        z *= self._kick[start:start + len(z), None]
+        """The exponential recursion in place, one row per step.  z holds the
+        kicks kick_i xi_i of rows start, start + 1, ... of a draw, and `carry`
+        its row start - 1 as the recursion left it, before any offset."""
         if start:
             z[0] += self._decay[start - 1] * carry
         for i, a in enumerate(self._decay[start:start + len(z) - 1].tolist(), start=1):
             z[i] += a * z[i - 1]
         return z
 
+    def finish_rows(self, kicks: np.ndarray, start: int,
+                    carry: np.ndarray | None) -> np.ndarray:
+        """Turn the exponential kind's kicks of rows start, start + 1, ..., as
+        `sample_block` leaves them when given `staging`, into noise in place:
+        the recursion from `carry` (row start - 1 as the recursion left it, or
+        None at row 0), then the offset eta0.  Returns the last row as the
+        recursion left it, the carry of the rows after it."""
+        carry = self._markov(kicks, start, carry)[-1].copy()
+        kicks += self.model.eta0
+        return carry
+
     def sample_block(self, count: int, stream: tuple[int, ...] = (),
                      out: np.ndarray | None = None,
-                     cursor: StreamCursor | None = None) -> np.ndarray:
+                     cursor: StreamCursor | None = None, *,
+                     staging: np.ndarray | None = None) -> np.ndarray:
         """Draw `count` realizations at once; shape (rows, count), with the
         rows of `out` if given and else every row the cursor has not drawn.
 
@@ -260,6 +265,16 @@ class NoiseSampler:
         continuing the same stream, so the tiles equal one whole-block draw.
         The cursor holds the generator, the next row and what the rows after it
         need: the Gaussian kind's normals, the exponential recursion's last row.
+
+        The Philox fill writes contiguous memory only.  The exponential kind
+        fills a contiguous block in place and a strided `out` through a
+        temporary block; `staging`, a flat float block of at least rows x count
+        values, takes the temporary's place.  Given `staging`, the exponential
+        kind writes only the kicks kick_i xi_i, one GIL-free fill and one
+        multiply, and leaves the recursion and the offset to the caller's
+        `finish_rows`, which may run them across the columns of several
+        chunks at once; the cursor then holds no carry.  The Gaussian kind
+        ignores `staging`.
         """
         cur = StreamCursor() if cursor is None else cursor
         if cur.gen is None:
@@ -269,14 +284,18 @@ class NoiseSampler:
         cur.row = stop
         if self.model.kind == EXPONENTIAL:
             eta = np.empty((stop - start, count)) if out is None else out
-            for r in range(0, len(eta), _FILL_ROWS):
-                eta[r:r + _FILL_ROWS] = cur.gen.standard_normal(eta[r:r + _FILL_ROWS].shape)
-            self._markov(eta, start, cur.carry)
-            cur.carry = eta[-1].copy()
-        else:
-            if cur.carry is None:
-                cur.carry = cur.gen.standard_normal((self.transform.shape[1], count))
-            eta = np.matmul(self.transform[start:stop], cur.carry, out=out)
+            if staging is not None:
+                xi = staging[:eta.size].reshape(eta.shape)
+            else:
+                xi = eta if eta.flags.c_contiguous else np.empty(eta.shape)
+            cur.gen.standard_normal(out=xi)
+            np.multiply(xi, self._kick[start:stop, None], out=eta)
+            if staging is None:
+                cur.carry = self.finish_rows(eta, start, cur.carry)
+            return eta
+        if cur.carry is None:
+            cur.carry = cur.gen.standard_normal((self.transform.shape[1], count))
+        eta = np.matmul(self.transform[start:stop], cur.carry, out=out)
         eta += self.model.eta0
         return eta
 

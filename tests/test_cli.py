@@ -499,6 +499,9 @@ class TestOtherSubcommands:
         # SLSQP takes its iteration limit as a C long
         ["design", "--model", "exponential", "--gamma", "0.01", "--segments", "3",
          "--restarts", "1", "--budget", "9223372036854775808"],
+        # one past cli.MAX_POINTS: refused before the 1/v grid is formed
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+         "--points", "1001", "--realizations", "2", "--steps", "8"],
     ], ids=["one-realization", "duplicate-inv-v", "prefactor-gaussian",
             "prefactor-rect", "prefactor-unknown-pulse", "prefactor-zero-gamma",
             "nogo-unknown-pulse", "empty-fit-window",
@@ -523,7 +526,8 @@ class TestOtherSubcommands:
             "scaling-malformed-catalog", "prefactor-malformed-catalog",
             "nogo-malformed-catalog", "scaling-negative-seed", "design-negative-seed",
             "noise-validate-negative-seed", "prefactor-overflowing-tau-cubed",
-            "prefactor-overflowing-cusp", "design-budget-above-c-long"])
+            "prefactor-overflowing-cusp", "design-budget-above-c-long",
+            "scaling-points-above-limit"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         args = [_written(arg, tmp_path) for arg in args]
         out = [] if args[0] == "catalog-validate" else ["--out", str(tmp_path)]
@@ -543,6 +547,39 @@ class TestOtherSubcommands:
         assert code == 2, err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: config: "), err
+
+    def test_huge_point_count_is_refused_before_it_is_allocated(self, tmp_path):
+        # a billion log-spaced 1/v values take 7.45 GiB; never run this in the
+        # test process or without the cap
+        code, err = run_capped(["scaling", "--model", "exponential", "--gamma", "0.01",
+                                "--points", "1000000000", "--out", "out"], tmp_path)
+        assert code == 2, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config: "), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_workers_above_the_limit_start_no_thread(self, tmp_path, capsys, monkeypatch):
+        # one worker too many, each with a full chunk: refused by the config
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a cell started a thread pool")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        workers = harness.MAX_WORKERS + 1
+        code = run(["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses",
+                    "rect", "--workers", str(workers), "--realizations",
+                    str(workers * harness.DEFAULT_CHUNK), "--steps", "8",
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: config: workers must be 1 to {harness.MAX_WORKERS}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_shows_the_limits(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")
+        assert run(["scaling", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"count, at most {cli.MAX_POINTS} (default: 8)" in text
+        assert f"at most {harness.MAX_WORKERS}; the others draw" in text
 
     def test_usage_error_exit_code(self):
         assert run(["frobnicate"]) == 1

@@ -168,8 +168,9 @@ class TestRunScaling:
                 assert r.csv_text() == runs[0].csv_text()
 
     def test_workers_above_full_chunks(self, monkeypatch):
-        # 8 workers, 2 full chunks: 2 threads at most, and two row tiles of the
-        # group in flight, less than one chunk's whole block
+        # 8 workers, 2 full chunks: a group of 2, the calling thread one of its
+        # workers, so 1 draw thread; two row tiles of the group in flight and
+        # one staging block, less than one chunk's whole block
         n_steps, chunk = 256, 1024
         pulse = load_catalog()["RECT"].for_inverse_amplitude(1e-2)
         grid = build_time_grid(pulse, n_steps)
@@ -189,7 +190,7 @@ class TestRunScaling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pools == [2]
+        assert pools == [1]
         assert peak < block_bytes
         assert est["df2"] == harness._run_cell(pulse, sampler, 0, 2 * chunk + 5,
                                                chunk, 1)["df2"]
@@ -215,18 +216,71 @@ class TestRunScaling:
         assert sum(width for _, width in calls) == realizations
         assert est["df2"].realizations == realizations
 
-    @pytest.mark.parametrize("n_steps", [33, 65, 257])
-    def test_draw_tiles_at_one_row_past_a_tile(self, n_steps):
+    @pytest.mark.parametrize("n_steps, kind", [
+        *(pytest.param(n, "gaussian", id=str(n)) for n in (33, 65, 257)),
+        *(pytest.param(n, "exponential", id=f"{n}-exponential") for n in (33, 65, 257))])
+    def test_draw_tiles_at_one_row_past_a_tile(self, n_steps, kind):
         # the Gaussian kind's one-row product goes through gemv and rounds
-        # differently, so the tiles of _draws leave no one-row last tile and
-        # equal the whole-block draw of every chunk and of the remainder
-        model = AutocorrelationModel("gaussian", g0=1.3, gamma=0.05, eta0=0.3)
+        # differently, so the tiles of _draws leave no one-row last tile; the
+        # exponential kind's recursion and offset run on the calling thread
+        # across the tile; either way the tiles equal the whole-block draw of
+        # every chunk and of the remainder
+        model = AutocorrelationModel(kind, g0=1.3, gamma=0.05, eta0=0.3)
         sampler = build_sampler(model, TimeGrid.uniform(2.0, n_steps), seed=11)
         with closing(harness._draws(sampler, 2 * 2048 + 37, 2048, 2, (4,))) as groups:
             tiles = [tile.copy() for tile in next(groups).tiles]
         assert len(tiles[-1]) > 1
         whole = [sampler.sample_block(w, stream=(4, c)) for c, w in enumerate((2048, 2048, 37))]
         assert np.array_equal(np.concatenate(tiles), np.hstack(whole))
+
+    def test_exponential_recursion_runs_on_the_calling_thread(self, monkeypatch):
+        # the draw threads write only the kicks; the caller runs the recursion
+        # once per tile across the group's width, three chunks and a remainder
+        calls, draws = [], []
+        markov, sample_block = NoiseSampler._markov, NoiseSampler.sample_block
+
+        def recorded_markov(self, z, start, carry):
+            calls.append((threading.get_ident(), z.shape))
+            return markov(self, z, start, carry)
+
+        def recorded_draw(self, *args, **kwargs):
+            draws.append(threading.get_ident())
+            return sample_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(NoiseSampler, "_markov", recorded_markov)
+        monkeypatch.setattr(NoiseSampler, "sample_block", recorded_draw)
+        pulse = load_catalog()["CORPSE"].for_inverse_amplitude(1e-2)
+        sampler = build_sampler(EXP, build_time_grid(pulse, 65), 3)
+        harness._run_cell(pulse, sampler, 0, 3 * 256 + 5, 256, 3)
+        assert [shape for _, shape in calls] == [(32, 773), (33, 773)]
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        assert len(draws) == 2 * 4 and threading.get_ident() not in draws
+
+    @pytest.mark.parametrize("workers, threads", [(1, 1), (2, 1), (3, 2), (4, 3)])
+    def test_a_cell_starts_one_draw_thread_fewer_than_its_workers(self, monkeypatch,
+                                                                   workers, threads):
+        # 4 full chunks and a remainder: the calling thread is one of the
+        # workers, and one worker still starts one draw thread
+        pools, draws = [], set()
+        sample_block = NoiseSampler.sample_block
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        def recorded_draw(self, *args, **kwargs):
+            draws.add(threading.get_ident())
+            return sample_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(NoiseSampler, "sample_block", recorded_draw)
+        pulse = load_catalog()["CORPSE"].for_inverse_amplitude(1e-2)
+        for model in (EXP, GAUSS):
+            sampler = build_sampler(model, build_time_grid(pulse, 40), 3)
+            harness._run_cell(pulse, sampler, 0, 4 * 256 + 37, 256, workers)
+        assert pools == [threads, threads]
+        assert threading.get_ident() not in draws and len(draws) <= 2 * threads
 
     @pytest.mark.parametrize("model", [EXP, GAUSS], ids=["exponential", "gaussian"])
     def test_cell_memory_does_not_grow_with_steps(self, model):
@@ -251,10 +305,10 @@ class TestRunScaling:
 
         original = NoiseSampler.sample_block
 
-        def failing(self, count, stream=(), out=None, cursor=None):
+        def failing(self, count, stream=(), out=None, cursor=None, *, staging=None):
             if cursor is not None and cursor.row == 2 * harness.TILE_ROWS:
                 raise DrawFailed(stream)
-            return original(self, count, stream, out, cursor)
+            return original(self, count, stream, out, cursor, staging=staging)
 
         monkeypatch.setattr(NoiseSampler, "sample_block", failing)
         threads = threading.active_count()

@@ -132,7 +132,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     # I_3/2 does not depend on eta0, and the search starts from the shipped catalog
     p = sub.add_parser("design", help="minimize the anomalous integral")
     add_shared(p, "--out --seed --model --gamma --g0")
-    p.add_argument("--segments", type=int, default=3, help="segment count (default: %(default)s)")
+    p.add_argument("--segments", type=int, default=3,
+                   help=f"segment count, 3 to {magnus.MAX_SEGMENTS} (default: %(default)s)")
     p.add_argument("--restarts", type=int, help="random starts per segment count "
                    f"(default: {_SEARCH['restarts'].default})")
     p.add_argument("--budget", type=int, help="SLSQP iterations per start "

@@ -17,14 +17,16 @@ columns; the remainder chunk takes the columns after the last group's, so a
 cell costs one pass of the step loop per group, however few realizations
 are left over.  A group's noise flows in row tiles of `TILE_ROWS` steps.
 The calling thread is one of the workers: it evolves the rows of tile t
-while max(1, workers - 1) draw threads draw tile t + 1 (the Philox fill,
-the Gaussian matmul and the exponential kick multiply release the GIL),
-each chunk continuing its own stream from where the last tile left it.  The
-exponential recursion, a loop of small ufunc calls over the rows, runs on
-the calling thread across the whole tile.  So a cell holds two tiles of
-noise, whatever its step count, and every loop of small ufunc calls runs in
-one thread: run on several threads, such calls hand the GIL back and forth
-and run slower than one after the other.
+while max(1, workers - 1) draw threads draw tile t + 1, one
+`NoiseSampler.sample_block` call per chunk, each chunk continuing its own
+stream from where the last tile left it.  Such a call makes no loop over the
+rows and leaves the rest of the draw to `NoiseSampler.finish_rows`, which
+the calling thread runs on every tile: the exponential recursion, a loop of
+small ufunc calls over the rows, and its offset, or nothing for the
+Gaussian kind.  So a cell holds two tiles of noise, whatever its step
+count, and every loop of small ufunc calls runs in one thread: run on
+several threads, such calls hand the GIL back and forth and run slower than
+one after the other.
 `noise_statistics`, behind `noise-validate`, needs every row of a
 realization at once for its covariance, so it draws chunk c whole from
 stream (c,) with `NoiseSampler.sample_block`, one chunk after the other.
@@ -346,13 +348,12 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
     (*stream, full chunks), takes the columns after the last group's.  A group
     flows in tiles of `TILE_ROWS` rows, the last one shorter, or one row longer
     where it would hold a single row.  The caller, which evolves the rows, is
-    one of the workers: max(1, group - 1) draw threads draw tile t + 1, each
-    a fixed share of the group's chunks, every chunk continuing its own
-    stream, while the caller reads tile t.  So two tiles are held, not the
-    whole block, and a tile read is overwritten two tiles later.  The
-    exponential kind's draw threads write only the kicks, through one staging
-    block per thread; the caller runs the recursion and adds eta0 across the
-    whole tile before reading it, carrying its last row to the next tile, so
+    one of the workers: max(1, group - 1) draw threads draw tile t + 1, one
+    `sample_block` call per chunk, every chunk continuing its own stream
+    through its cursor, while the caller reads tile t.  So two tiles are
+    held, not the whole block, and a tile read is overwritten two tiles
+    later.  Before reading a tile the caller finishes it across the group's
+    width with `finish_rows`, carrying what it returns to the next tile, so
     the draw threads make few calls that hold the GIL.  Close the generator
     to stop its threads early.
     """
@@ -373,24 +374,17 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
     n_tiles = len(bounds)
     rows = max(b - a for a, b in bounds)
     ring = np.empty((min(2, n_tiles), rows * max(widths)))
-    markov = sampler.model.kind == EXPONENTIAL
-    staging = (np.empty((threads, rows * min(chunk_size, realizations))) if markov
-               else [None] * threads)
-
-    def draw_share(tile, share, block):
-        for (c, col, w), cursor in share:
-            sampler.sample_block(w, (*stream, c), out=tile[:, col:col + w], cursor=cursor,
-                                 staging=block)
 
     def tiles(pool, chunks, width):
-        jobs = [(chunk, StreamCursor()) for chunk in chunks]
+        cursors = [StreamCursor() for _ in chunks]
         carry = None
 
         def draw(t):
             a, b = bounds[t]
             tile = ring[t % 2, :(b - a) * width].reshape(b - a, width)
-            return tile, [pool.submit(draw_share, tile, jobs[i::threads], staging[i])
-                          for i in range(threads)]
+            return tile, [pool.submit(sampler.sample_block, w, (*stream, c),
+                                      tile[:, col:col + w], cursor)
+                          for (c, col, w), cursor in zip(chunks, cursors)]
 
         ahead = draw(0)
         for t in range(n_tiles):
@@ -399,8 +393,7 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
                 f.result()          # a failed draw raises here
             if t + 1 < n_tiles:
                 ahead = draw(t + 1)
-            if markov:
-                carry = sampler.finish_rows(tile, bounds[t][0], carry)
+            carry = sampler.finish_rows(tile, bounds[t][0], carry)
             yield tile
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -523,7 +516,8 @@ def run_prefactor_check(config: ScalingExperimentConfig,
     """The cells of `config`'s sweep against the leading cubic law.
 
     Every pulse must be first order (NotFirstOrder), the model must have a
-    cusp and every cell's prediction must be finite (ValueError); all three
+    cusp and every cell's prediction must be positive and finite
+    (ValueError), since each ratio divides by it; all three
     are checked before any cell is drawn.  With S = C = 0 the leading term
     of mean DF^2 under exponential noise is (4/3) I_3/2 = (4/3) a K tau_p^3,
     from the closed-form shape kernel K of the pulse scaled to the cell's 1/v.
@@ -541,9 +535,9 @@ def run_prefactor_check(config: ScalingExperimentConfig,
                                            config.model)
         except OverflowError:       # a float's tau_p**3 raises past 1.8e308
             df2 = math.inf
-        if not math.isfinite(df2):
+        if not 0.0 < df2 < math.inf:     # a K tau_p^3 may also underflow to 0
             raise ValueError(f"the cubic law's mean DF^2 for {name} at 1/v = {inv_v!r} "
-                             "is not finite")
+                             "is not finite and positive")
         predicted[name, inv_v] = df2
     return [PrefactorRow(cell, predicted[cell.pulse, cell.inv_v])
             for cell in _sweep(config, catalog)]

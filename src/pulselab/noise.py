@@ -235,46 +235,48 @@ class NoiseSampler:
             z[i] += a * z[i - 1]
         return z
 
-    def finish_rows(self, kicks: np.ndarray, start: int,
-                    carry: np.ndarray | None) -> np.ndarray:
-        """Turn the exponential kind's kicks of rows start, start + 1, ..., as
-        `sample_block` leaves them when given `staging`, into noise in place:
-        the recursion from `carry` (row start - 1 as the recursion left it, or
-        None at row 0), then the offset eta0.  Returns the last row as the
-        recursion left it, the carry of the rows after it."""
-        carry = self._markov(kicks, start, carry)[-1].copy()
-        kicks += self.model.eta0
+    def finish_rows(self, tile: np.ndarray, start: int,
+                    carry: np.ndarray | None) -> np.ndarray | None:
+        """Finish in place rows start, start + 1, ... of a draw, as
+        `sample_block` given a cursor leaves them; returns the carry of the
+        rows after them, to pass with the next rows.
+
+        The exponential kind's rows hold the kicks kick_i xi_i: this runs the
+        recursion from `carry` (row start - 1 as the recursion left it, or
+        None at row 0), then adds the offset eta0, and returns the last row as
+        the recursion left it.  The Gaussian kind's rows are already noise:
+        this does nothing and returns None.  `tile` may hold the columns of
+        several chunks side by side, each at the same rows."""
+        if self.model.kind != EXPONENTIAL:
+            return None
+        carry = self._markov(tile, start, carry)[-1].copy()
+        tile += self.model.eta0
         return carry
 
     def sample_block(self, count: int, stream: tuple[int, ...] = (),
                      out: np.ndarray | None = None,
-                     cursor: StreamCursor | None = None, *,
-                     staging: np.ndarray | None = None) -> np.ndarray:
+                     cursor: StreamCursor | None = None) -> np.ndarray:
         """Draw `count` realizations at once; shape (rows, count), with the
         rows of `out` if given and else every row the cursor has not drawn.
 
         A given (seed, stream) pair always yields the same block, so chunked
         parallel sampling reproduces bit-identically in any schedule.  With
         `out` (that shape, possibly a strided view) the block is written there
-        and returned; the Philox fill and the Gaussian matmul release the GIL.
-        The Gaussian kind draws a (k, count) block of normals for its N x k
-        transform; the exponential kind draws (n_steps, count).
+        and returned.  The Gaussian kind draws a (k, count) block of normals
+        for its N x k transform; the exponential kind draws (n_steps, count).
+        The Philox fill writes contiguous memory only, so the exponential kind
+        fills a strided `out` through a temporary block.
 
-        A chunk may be drawn in row tiles: pass one `StreamCursor()` with every
-        call for it, and each call draws the rows of `out` after the last call's,
-        continuing the same stream, so the tiles equal one whole-block draw.
-        The cursor holds the generator, the next row and what the rows after it
-        need: the Gaussian kind's normals, the exponential recursion's last row.
-
-        The Philox fill writes contiguous memory only.  The exponential kind
-        fills a contiguous block in place and a strided `out` through a
-        temporary block; `staging`, a flat float block of at least rows x count
-        values, takes the temporary's place.  Given `staging`, the exponential
-        kind writes only the kicks kick_i xi_i, one GIL-free fill and one
-        multiply, and leaves the recursion and the offset to the caller's
-        `finish_rows`, which may run them across the columns of several
-        chunks at once; the cursor then holds no carry.  The Gaussian kind
-        ignores `staging`.
+        Without a cursor the block is finished noise.  A chunk may instead be
+        drawn in row tiles: pass one `StreamCursor()` with every call for it,
+        and each call draws the rows of `out` after the last call's,
+        continuing the same stream.  Such a call makes no loop over the rows:
+        the Gaussian kind writes finished rows (the matmul, then the offset),
+        the exponential kind only the kicks kick_i xi_i (one fill, one
+        multiply).  The caller finishes each tile with `finish_rows`, passing
+        the carry it returned for the tile before, and may do so across the
+        columns of several chunks at once; so finished, the tiles equal one
+        whole-block draw.
         """
         cur = StreamCursor() if cursor is None else cursor
         if cur.gen is None:
@@ -284,29 +286,28 @@ class NoiseSampler:
         cur.row = stop
         if self.model.kind == EXPONENTIAL:
             eta = np.empty((stop - start, count)) if out is None else out
-            if staging is not None:
-                xi = staging[:eta.size].reshape(eta.shape)
-            else:
-                xi = eta if eta.flags.c_contiguous else np.empty(eta.shape)
+            xi = eta if eta.flags.c_contiguous else np.empty(eta.shape)
             cur.gen.standard_normal(out=xi)
             np.multiply(xi, self._kick[start:stop, None], out=eta)
-            if staging is None:
-                cur.carry = self.finish_rows(eta, start, cur.carry)
+            if cursor is None:
+                self.finish_rows(eta, 0, None)
             return eta
-        if cur.carry is None:
-            cur.carry = cur.gen.standard_normal((self.transform.shape[1], count))
-        eta = np.matmul(self.transform[start:stop], cur.carry, out=out)
+        if cur.normals is None:
+            cur.normals = cur.gen.standard_normal((self.transform.shape[1], count))
+        eta = np.matmul(self.transform[start:stop], cur.normals, out=out)
         eta += self.model.eta0
         return eta
 
 
 @dataclass
 class StreamCursor:
-    """Where a chunk's draw stands between the row tiles of `sample_block`."""
+    """Where a chunk's draw stands between the row tiles of `sample_block`:
+    the chunk's generator, the next row to draw and, for the Gaussian kind,
+    the k x count normals that every row of the chunk shares."""
 
     gen: np.random.Generator | None = None
     row: int = 0
-    carry: np.ndarray | None = None
+    normals: np.ndarray | None = None
 
 
 def build_sampler(model: AutocorrelationModel, grid: TimeGrid, seed: int) -> NoiseSampler:

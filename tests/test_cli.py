@@ -496,6 +496,12 @@ class TestOtherSubcommands:
          "--realizations", "10", "--steps", "8"],
         ["prefactor", "--model", "exponential", "--g0", "1e150", "--gamma", "1e10",
          "--realizations", "10", "--steps", "8"],
+        # a K tau_p^3 underflows to 0, through a or through tau_p: each ratio
+        # would divide by it, so it is refused before any cell too
+        ["prefactor", "--model", "exponential", "--gamma", "5e-324",
+         "--realizations", "64", "--steps", "8"],
+        ["prefactor", "--model", "exponential", "--gamma", "0.01", "--inv-v",
+         "1e-320,1e-319", "--realizations", "64", "--steps", "8"],
         # SLSQP takes its iteration limit as a C long
         ["design", "--model", "exponential", "--gamma", "0.01", "--segments", "3",
          "--restarts", "1", "--budget", "9223372036854775808"],
@@ -526,7 +532,8 @@ class TestOtherSubcommands:
             "scaling-malformed-catalog", "prefactor-malformed-catalog",
             "nogo-malformed-catalog", "scaling-negative-seed", "design-negative-seed",
             "noise-validate-negative-seed", "prefactor-overflowing-tau-cubed",
-            "prefactor-overflowing-cusp", "design-budget-above-c-long",
+            "prefactor-overflowing-cusp", "prefactor-underflowing-cusp",
+            "prefactor-underflowing-tau-cubed", "design-budget-above-c-long",
             "scaling-points-above-limit"])
     def test_invalid_input_is_one_line_config_error(self, tmp_path, capsys, args):
         args = [_written(arg, tmp_path) for arg in args]
@@ -574,12 +581,29 @@ class TestOtherSubcommands:
         assert err == [f"error: config: workers must be 1 to {harness.MAX_WORKERS}"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_segments_above_the_limit_start_no_search(self, tmp_path, capsys, monkeypatch):
+        # one segment too many: refused before the search evaluates a point
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search evaluated a point")
+
+        monkeypatch.setattr(magnus, "_kernel_and_constraints", no_search)
+        code = run(["design", "--model", "exponential", "--gamma", "0.01", "--segments",
+                    str(magnus.MAX_SEGMENTS + 1), "--restarts", "1", "--budget", "50",
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: config: need 3 to {magnus.MAX_SEGMENTS} segments"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_shows_the_limits(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "200")
         assert run(["scaling", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
         assert f"count, at most {cli.MAX_POINTS} (default: 8)" in text
         assert f"at most {harness.MAX_WORKERS}; the others draw" in text
+        assert run(["design", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"segment count, 3 to {magnus.MAX_SEGMENTS} (default: 3)" in text
 
     def test_usage_error_exit_code(self):
         assert run(["frobnicate"]) == 1

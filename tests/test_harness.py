@@ -170,11 +170,15 @@ class TestRunScaling:
     def test_workers_above_full_chunks(self, monkeypatch):
         # 8 workers, 2 full chunks: a group of 2, the calling thread one of its
         # workers, so 1 draw thread; two row tiles of the group in flight and
-        # one staging block, less than one chunk's whole block
+        # the one running draw's temporary tile, less than one chunk's whole
+        # block.  A first, untraced cell imports what the first draw loads
+        # lazily (numpy.random), so the peak holds the cell alone in any order
+        # of the tests
         n_steps, chunk = 256, 1024
         pulse = load_catalog()["RECT"].for_inverse_amplitude(1e-2)
         grid = build_time_grid(pulse, n_steps)
         sampler = build_sampler(EXP, grid, 3)
+        harness._run_cell(pulse, sampler, 0, 2 * chunk + 5, chunk, 8)
         pools = []
 
         class Pool(ThreadPoolExecutor):
@@ -305,10 +309,10 @@ class TestRunScaling:
 
         original = NoiseSampler.sample_block
 
-        def failing(self, count, stream=(), out=None, cursor=None, *, staging=None):
+        def failing(self, count, stream=(), out=None, cursor=None):
             if cursor is not None and cursor.row == 2 * harness.TILE_ROWS:
                 raise DrawFailed(stream)
-            return original(self, count, stream, out, cursor, staging=staging)
+            return original(self, count, stream, out, cursor)
 
         monkeypatch.setattr(NoiseSampler, "sample_block", failing)
         threads = threading.active_count()
@@ -526,6 +530,24 @@ class TestPrefactorCheck:
         run_prefactor_check(prefactor_config(["CORPSE"], [1e-2, 1e101], 10,
                                              steps_per_pulse=8))
         assert calls == [0, 1]
+
+    @pytest.mark.parametrize("gamma, inv_v", [(5e-324, [1e-2, 1e-1]), (0.01, [1e-320, 1e-2])],
+                             ids=["cusp", "tau-cubed"])
+    def test_underflowing_prediction_is_refused_before_any_cell(self, monkeypatch,
+                                                                gamma, inv_v):
+        # a K tau_p^3 underflows to 0, and each ratio would divide by it
+        calls, run_cell = [], harness._run_cell
+
+        def counted(*args):
+            calls.append(args[2])
+            return run_cell(*args)
+
+        monkeypatch.setattr(harness, "_run_cell", counted)
+        model = AutocorrelationModel("exponential", gamma=gamma)
+        with pytest.raises(ValueError, match=rf"1/v = {inv_v[0]!r} is not finite and positive"):
+            run_prefactor_check(prefactor_config(["CORPSE"], inv_v, 10, model,
+                                                 steps_per_pulse=8))
+        assert calls == []
 
     def test_first_order_rule_is_shared(self, catalog):
         # one rule and one exception type for the prefactor and no-go checks

@@ -439,6 +439,11 @@ class TestMinimizeI32:
         with pytest.raises(ValueError):
             minimize_i32(3, GAUSS_MODEL)
 
+    @pytest.mark.parametrize("n_segments", [2, magnus.MAX_SEGMENTS + 1])
+    def test_segment_count_outside_the_limits_is_refused(self, n_segments):
+        with pytest.raises(ValueError, match=f"need 3 to {magnus.MAX_SEGMENTS} segments"):
+            minimize_i32(n_segments, EXP_MODEL)
+
 
 FD_STEP = math.sqrt(np.finfo(float).eps)
 

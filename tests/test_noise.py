@@ -290,16 +290,18 @@ class TestSampling:
     @pytest.mark.parametrize("kind", ["exponential", "gaussian"])
     def test_row_tiles_continue_the_whole_block(self, kind):
         # tiles of 32 rows, the last one short, each written into a chunk's
-        # columns of a wider tile: one cursor continues the stream, so they
-        # equal one whole-block draw and leave the other columns alone
+        # columns of a wider tile: one cursor continues the stream, and each
+        # tile is finished with the carry of the one before, so they equal
+        # one whole-block draw and leave the other columns alone
         model = AutocorrelationModel(kind, g0=1.3, gamma=0.7, eta0=0.3)
         sampler = build_sampler(model, TimeGrid.uniform(2.0, 100), seed=11)
         cursor = noise.StreamCursor()
-        tiles = []
+        tiles, carry = [], None
         for start in range(0, 100, 32):
             rows = min(32, 100 - start)
             wide = np.full((rows, 50), np.nan)
             tiles.append(sampler.sample_block(37, (2, 5), wide[:, 5:42], cursor))
+            carry = sampler.finish_rows(tiles[-1], start, carry)
             assert np.isnan(wide[:, :5]).all() and np.isnan(wide[:, 42:]).all()
         assert cursor.row == 100
         assert np.array_equal(np.concatenate(tiles), sampler.sample_block(37, stream=(2, 5)))

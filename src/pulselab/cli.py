@@ -219,7 +219,7 @@ def _inv_v_values(value: str) -> tuple[float, ...]:
 
 
 def _inv_v_grid(args: argparse.Namespace) -> tuple[float, ...]:
-    if args.inv_v:
+    if args.inv_v is not None:      # an empty list is refused, not the range
         return _inv_v_values(args.inv_v)
     if not 0 < args.inv_v_min < args.inv_v_max or args.points < 2:
         raise ValueError("invalid 1/v range")

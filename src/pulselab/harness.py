@@ -345,13 +345,17 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
     Chunk c holds `chunk_size` realizations from stream (*stream, c).  The
     full chunks come in groups of min(workers, full chunks), each chunk a
     range of its group's columns, and the remainder, from stream
-    (*stream, full chunks), takes the columns after the last group's.  A group
-    flows in tiles of `TILE_ROWS` rows, the last one shorter, or one row longer
-    where it would hold a single row.  The caller, which evolves the rows, is
-    one of the workers: max(1, group - 1) draw threads draw tile t + 1, one
-    `sample_block` call per chunk, every chunk continuing its own stream
-    through its cursor, while the caller reads tile t.  So two tiles are
-    held, not the whole block, and a tile read is overwritten two tiles
+    (*stream, full chunks), takes the columns after the last group's.  Each
+    group is formed when the caller reaches it, so no schedule of the cell's
+    groups is held, however many realizations it asks for.  A group flows in
+    tiles that start every `TILE_ROWS` rows short of the last row, so the last
+    tile holds two rows or more.  Both tiles are views of one ring, sized once
+    by the group rule for the widest group a cell can have,
+    min(group, full) * chunk_size + rest columns.  The caller, which evolves
+    the rows, is one of the workers: max(1, group - 1) draw threads draw tile
+    t + 1, one `sample_block` call per chunk, every chunk continuing its own
+    stream through its cursor, while the caller reads tile t.  So two tiles
+    are held, not the whole block, and a tile read is overwritten two tiles
     later.  Before reading a tile the caller finishes it across the group's
     width with `finish_rows`, carrying what it returns to the next tile, so
     the draw threads make few calls that hold the GIL.  Close the generator
@@ -361,19 +365,11 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
     full, rest = divmod(realizations, chunk_size)
     group = max(1, min(workers, full))
     threads = max(1, group - 1)
-    # each group's chunks as (stream index, first column, width)
-    groups = [[(c, (c - c0) * chunk_size, chunk_size) for c in range(c0, min(c0 + group, full))]
-              for c0 in range(0, full, group)] or [[]]
-    if rest:
-        groups[-1].append((full, len(groups[-1]) * chunk_size, rest))
-    widths = [sum(w for *_, w in chunks) for chunks in groups]
-    starts = list(range(0, n_steps, TILE_ROWS))
-    if len(starts) > 1 and n_steps - starts[-1] == 1:
-        starts.pop()        # a one-row last tile joins the one before it
-    bounds = list(zip(starts, starts[1:] + [n_steps]))
+    starts = range(0, max(n_steps - 1, 1), TILE_ROWS)    # the last tile holds two rows or more
+    bounds = list(zip(starts, [*starts[1:], n_steps]))
     n_tiles = len(bounds)
     rows = max(b - a for a, b in bounds)
-    ring = np.empty((min(2, n_tiles), rows * max(widths)))
+    ring = np.empty((min(2, n_tiles), rows * (min(group, full) * chunk_size + rest)))
 
     def tiles(pool, chunks, width):
         cursors = [StreamCursor() for _ in chunks]
@@ -397,7 +393,13 @@ def _draws(sampler: NoiseSampler, realizations: int, chunk_size: int, workers: i
             yield tile
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for chunks, width in zip(groups, widths):
+        for c0 in range(0, max(full, 1), group):
+            # the group's chunks as (stream index, first column, width)
+            chunks = [(c, (c - c0) * chunk_size, chunk_size)
+                      for c in range(c0, min(c0 + group, full))]
+            if rest and c0 + group >= full:
+                chunks.append((full, len(chunks) * chunk_size, rest))
+            width = sum(w for *_, w in chunks)
             yield _Rows((n_steps, width), tiles(pool, chunks, width))
 
 
@@ -454,8 +456,7 @@ def _sweep(config: ScalingExperimentConfig, catalog: PulseCatalog) -> Iterator[C
     count is checked before the first cell is drawn."""
     for name in config.pulses:
         _require_steps(catalog[name], config.steps_per_pulse)
-    cells = [(name, inv_v) for name in config.pulses for inv_v in config.inv_v_grid]
-    for k, (name, inv_v) in enumerate(cells):
+    for k, (name, inv_v) in enumerate(itertools.product(config.pulses, config.inv_v_grid)):
         scaled = catalog[name].for_inverse_amplitude(inv_v)
         grid = build_time_grid(scaled, config.steps_per_pulse)
         sampler = build_sampler(config.model, grid, config.seed)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
@@ -265,7 +265,8 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
     (amplitudes -+-v_max_taup or +-+v_max_taup) and ``restarts`` random
     points, and stage n + 1 from stage n's best with its longest segment
     split in two (the same pulse, so it keeps its value) and ``restarts``
-    random points.  Every start is itself a candidate, so the
+    random points, each drawn from stream (n, r) of ``seed`` only when the
+    stage reaches it.  Every start is itself a candidate, so the
     best value never rises with n.  The amplitude bound keeps a shrinking
     support from shrinking I_3/2 without limit; the minima ride it.
 
@@ -343,9 +344,8 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
             best[k + 1] = best[k]
             starts = [best]
         lo, hi = _search_box(n, v_max_taup)
-        for r in range(restarts):
-            starts.append(_stream_generator(seed, n, r).uniform(lo, hi))
-        for theta0 in starts:
+        for theta0 in chain(starts, (_stream_generator(seed, n, r).uniform(lo, hi)
+                                     for r in range(restarts))):
             theta0 = np.clip(theta0, lo, hi)
             sol = minimize(kernel, theta0, method="SLSQP", jac=kernel_gradient,
                            bounds=list(zip(lo, hi)),
@@ -358,7 +358,7 @@ def minimize_i32(n_segments: int, model: AutocorrelationModel,
                     best, best_val = theta, val
         if best is None:
             raise NoFeasiblePoint(
-                f"no feasible {n}-segment pulse from {len(starts)} starts")
+                f"no feasible {n}-segment pulse from {len(starts) + restarts} starts")
 
     edges, amps, _ = _layout_of_params(best.tolist())   # segments for the returned design only
     segments = tuple(map(PulseSegment, edges[:-1], edges[1:], amps))

@@ -28,9 +28,13 @@ class CatalogText(str):
     """Catalog file contents that a test writes to a file and passes as its path."""
 
 
+class ConfigText(str):
+    """Config file contents that a test writes to a file and passes as its path."""
+
+
 def _written(arg, tmp_path):
-    if isinstance(arg, CatalogText):
-        path = tmp_path / "catalog.json"
+    if isinstance(arg, (CatalogText, ConfigText)):
+        path = tmp_path / ("catalog.json" if isinstance(arg, CatalogText) else "config.json")
         path.write_text(arg)
         return str(path)
     return arg
@@ -441,6 +445,14 @@ class TestOtherSubcommands:
          "--inv-v", ","],
         ["prefactor", "--model", "exponential", "--gamma", "0.01", "--pulse", "corpse",
          "--inv-v", ","],
+        # an explicitly empty list is not an unset one: it does not fall back
+        # on the --inv-v-min/--inv-v-max range, which would run here
+        ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect",
+         "--inv-v-max", "3e-2", "--points", "3", "--realizations", "2", "--steps", "8",
+         "--inv-v", ""],
+        ["--config", ConfigText('{"inv_v": []}'), "scaling", "--model", "exponential",
+         "--gamma", "0.01", "--pulses", "rect", "--inv-v-max", "3e-2", "--points", "3",
+         "--realizations", "2", "--steps", "8"],
         # fewer than 3 values of 1/v in the fit window: refused before any cell
         ["scaling", "--model", "exponential", "--gamma", "0.01", "--pulses", "rect,corpse",
          "--points", "2"],
@@ -521,7 +533,8 @@ class TestOtherSubcommands:
             "noise-validate-nan-g0", "noise-validate-nan-span", "noise-validate-inf-span",
             "noise-validate-zero-span", "noise-validate-negative-span",
             "prefactor-duplicate-inv-v", "nogo-not-first-order",
-            "scaling-empty-inv-v", "prefactor-empty-inv-v", "scaling-two-points",
+            "scaling-empty-inv-v", "prefactor-empty-inv-v", "scaling-explicitly-empty-inv-v",
+            "scaling-config-empty-inv-v", "scaling-two-points",
             "scaling-below-fit-window", "scaling-two-in-fit-window",
             "scaling-invalid-catalog", "prefactor-invalid-catalog", "nogo-invalid-catalog",
             "scaling-repeated-pulse", "scaling-gaussian-gamma-squared-overflows",

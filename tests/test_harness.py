@@ -286,6 +286,20 @@ class TestRunScaling:
         assert pools == [threads, threads]
         assert threading.get_ident() not in draws and len(draws) <= 2 * threads
 
+    def test_groups_are_formed_when_they_are_reached(self):
+        # 10^5 one-realization chunks, one a group: the first group comes
+        # before any schedule of the cell's groups is held
+        sampler = build_sampler(EXP, TimeGrid.uniform(1.0, 8), 3)
+        tracemalloc.start()
+        try:
+            with closing(harness._draws(sampler, 10**5, 1, 1, (0,))) as groups:
+                first = next(groups)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (8, 1)
+        assert peak < 2**20
+
     @pytest.mark.parametrize("model", [EXP, GAUSS], ids=["exponential", "gaussian"])
     def test_cell_memory_does_not_grow_with_steps(self, model):
         # the noise flows in row tiles: 8 times the steps, about the same peak

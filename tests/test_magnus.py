@@ -439,6 +439,27 @@ class TestMinimizeI32:
         with pytest.raises(ValueError):
             minimize_i32(3, GAUSS_MODEL)
 
+    def test_random_starts_are_drawn_when_the_stage_reaches_them(self, monkeypatch):
+        # the first evaluation, at a seed shape, comes before any random
+        # start is drawn: a stage holds no list of its restarts
+        class Evaluated(Exception):
+            pass
+
+        drawn, stream_generator = [], magnus._stream_generator
+
+        def counted(*args):
+            drawn.append(args)
+            return stream_generator(*args)
+
+        def first_evaluation(theta):
+            raise Evaluated
+
+        monkeypatch.setattr(magnus, "_stream_generator", counted)
+        monkeypatch.setattr(magnus, "_kernel_and_constraints", first_evaluation)
+        with pytest.raises(Evaluated):
+            minimize_i32(3, EXP_MODEL, budget=1, restarts=1000)
+        assert drawn == []
+
     @pytest.mark.parametrize("n_segments", [2, magnus.MAX_SEGMENTS + 1])
     def test_segment_count_outside_the_limits_is_refused(self, n_segments):
         with pytest.raises(ValueError, match=f"need 3 to {magnus.MAX_SEGMENTS} segments"):
